@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bounds
 from .functions import AnalyticFunction, as_params
-from .measurement import largest_remainder
+from .measurement import count_variances, largest_remainder
 
 GOLDEN_TOL = 1e-10
 PARTITION_TOL = 1e-10
@@ -317,6 +316,10 @@ def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, f
     is n_i proportional to a_i^{1/3}); deliberately solved as a generic
     constrained problem, not by that closed form.
     """
+    # imported here: scipy.optimize dominates the package's import time and
+    # nothing else needs it
+    from scipy.optimize import minimize
+
     a = np.asarray(weights_sq, dtype=float)
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError("weights_sq must be finite and nonnegative")
@@ -360,7 +363,6 @@ def predicted_mse(fn: AnalyticFunction, theta, plan: AllocationPlan) -> float:
     step2 = float(np.sum(np.abs(g)) ** 2) / plan.n2**2
     if plan.n1 == 0:
         return step2
-    counts = np.asarray(plan.mode_counts, dtype=float)
-    var = np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
+    var = count_variances(np.asarray(plan.mode_counts, dtype=float))
     coeffs = bounds.hessian_quartic_coeffs(fn, theta)
     return step2 + float(var @ coeffs @ var)

@@ -1,7 +1,7 @@
 """Monte Carlo harness: MSE estimation, resource sweeps, exports.
 
 Reproducibility contract. A run is identified by (config, master_seed).
-Trials are evaluated in fixed-size chunks, each on its own counter-derived
+Trials are evaluated in fixed-size chunks, each on its own index-derived
 random stream, and chunk partial sums are reduced with compensated
 summation in chunk order. The result is bit-identical however many threads
 execute the chunks.
@@ -99,8 +99,8 @@ def collect_error_moments(draw, trials: int, stream: RngStream,
         e2 = err * err
         return float(err.sum()), float(e2.sum()), float((e2 * e2).sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
             parts = list(pool.map(one, range(len(starts))))
     else:
         parts = [one(c) for c in range(len(starts))]

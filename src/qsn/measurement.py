@@ -32,7 +32,10 @@ _UINT64_MAX = 2**64 - 1
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: (seed, index) fully determines the draws.
+    """Seeded random stream: (seed, index) fully determines the draws.
+
+    The generator is numpy's default PCG64, seeded by a ``SeedSequence``
+    with entropy ``seed`` and spawn key ``(index,)``.
 
     Streams with the same seed and different indices are statistically
     independent, and a stream reproduces the same sequence every time
@@ -84,7 +87,12 @@ def sample_param_estimates(theta, variances, rng, size: int | None = None) -> np
         raise ValueError("variances must be finite and nonnegative")
     gen = _generator(rng)
     shape = theta.shape if size is None else (size, theta.shape[0])
-    return theta + np.sqrt(var) * gen.standard_normal(shape)
+    # in place: each (size, d) temporary costs page faults at Monte Carlo
+    # chunk sizes; the sum and product are the same bits either way round
+    draws = gen.standard_normal(shape)
+    draws *= np.sqrt(var)
+    draws += theta
+    return draws
 
 
 # -- GHZ linear-combination measurement ---------------------------------------
@@ -260,32 +268,33 @@ def lincomb_estimate(weights, theta, rng, *, time: float | None = None,
 def largest_remainder(weights, total: int) -> np.ndarray:
     """Apportion ``total`` integer units proportionally to nonnegative weights.
 
-    Floors the exact quotas, then hands leftover units to the largest
-    fractional remainders, ties to the lowest index. Zero weights get zero.
-    Deterministic, and the counts always sum to ``total``.
+    ``weights`` is one vector of shape (d,) or a stack of shape (n, d) whose
+    rows are apportioned independently, each to the same ``total``. Floors
+    the exact quotas, then hands leftover units to the largest fractional
+    remainders, ties to the lowest index. Zero weights get zero.
+    Deterministic, and the counts of every row sum to ``total``.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty vector")
+    if w.ndim not in (1, 2) or w.shape[-1] == 0:
+        raise ValueError("weights must be a nonempty vector or a stack of them")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and nonnegative")
     if total < 0 or int(total) != total:
         raise ValueError("total must be a nonnegative integer")
     total = int(total)
-    s = w.sum()
-    if s == 0.0:
-        if total:
-            raise ValueError("cannot apportion positive total to zero weights")
-        return np.zeros(w.size, dtype=int)
+    if total == 0:
+        return np.zeros(w.shape, dtype=int)
+    s = w.sum(axis=-1, keepdims=True)
+    if np.any(s == 0.0):
+        raise ValueError("cannot apportion positive total to zero weights")
     quota = w / s * total
     counts = np.floor(quota).astype(int)
-    leftover = total - int(counts.sum())
-    if leftover:
-        frac = quota - counts
-        # stable sort keeps ties in index order, then we take the largest
-        order = np.argsort(-frac, kind="stable")
-        counts[order[:leftover]] += 1
-    return counts
+    leftover = total - counts.sum(axis=-1, keepdims=True)
+    # rank of each remainder in a stable descending sort: ties keep index
+    # order, and the ``leftover`` best-ranked entries get one unit each
+    order = np.argsort(counts - quota, axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1)
+    return counts + (rank < leftover)
 
 
 def photon_mode_counts(weights, photons: int) -> np.ndarray:
@@ -293,6 +302,13 @@ def photon_mode_counts(weights, photons: int) -> np.ndarray:
     if photons < 1:
         raise ValueError("photon number must be positive")
     return largest_remainder(np.abs(np.asarray(weights, dtype=float)), photons)
+
+
+def count_variances(counts) -> np.ndarray:
+    """Estimate variances 1/n_i^2 for modes given n_i photons; a mode given
+    none has variance 0, i.e. its parameter stays at the prior."""
+    counts = np.asarray(counts)
+    return np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
 
 
 def hybrid_phase(couplings, theta, time: float, counts) -> float:

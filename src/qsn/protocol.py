@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocation
-from .functions import AnalyticFunction, as_params
-from .measurement import _generator, lincomb_estimate, sample_param_estimates
+from .functions import AnalyticFunction, EvaluationError, as_params
+from .measurement import (_generator, count_variances, lincomb_estimate,
+                          sample_param_estimates)
 
 # Step-2 weights below this size (relative to the function scale) are treated
 # as an exact critical point: the combination carries no signal, so the
@@ -122,7 +123,7 @@ def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
             raise ValueError(
                 f"no step-1 photons on parameter {i} but the target depends on it"
             )
-    return np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
+    return count_variances(counts)
 
 
 def _prior_point(dim: int) -> np.ndarray:
@@ -186,11 +187,12 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     w = fn.gradients(theta1)
     f1 = fn.values(theta1)
     q = np.einsum("nd,nd->n", w, theta_true[None, :] - theta1)
-    wmax = np.max(np.abs(w), axis=1)
+    abs_w = np.abs(w)
+    wmax = np.max(abs_w, axis=1)
     if plan.kind == "qubit-time":
         noise_sd = wmax / plan.t2
     else:
-        noise_sd = np.sum(np.abs(w), axis=1) / plan.n2
+        noise_sd = np.sum(abs_w, axis=1) / plan.n2
     live = wmax > TINY_GRADIENT_RTOL * np.maximum(1.0, np.abs(f1))
     q = np.where(live, q, 0.0)
     noise_sd = np.where(live, noise_sd, 0.0)
@@ -198,6 +200,23 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
 
 
 # -- separable baseline --------------------------------------------------------
+
+
+def _pilot_stage(dim: int, n_total: int,
+                 pilot_fraction: float) -> tuple[np.ndarray, int]:
+    """Pilot-estimate variances, from photons spread evenly over the modes,
+    and the photons left for the final stage."""
+    if not 0.0 < pilot_fraction < 1.0:
+        raise ValueError("pilot_fraction must lie in (0, 1)")
+    n_pilot = max(dim, int(round(pilot_fraction * n_total)))
+    if n_pilot >= n_total:
+        raise ValueError("pilot stage consumes the whole budget")
+    counts = allocation.largest_remainder(np.ones(dim), n_pilot)
+    return 1.0 / counts.astype(float) ** 2, n_total - n_pilot
+
+
+_ZERO_GRADIENT = ("zero gradient: the separable baseline has no allocation "
+                  "target here")
 
 
 def _unentangled_variances(fn: AnalyticFunction, theta_true: np.ndarray,
@@ -212,23 +231,14 @@ def _unentangled_variances(fn: AnalyticFunction, theta_true: np.ndarray,
     if pilot_fraction is None:
         g = fn.gradient(theta_true)
     else:
-        if not 0.0 < pilot_fraction < 1.0:
-            raise ValueError("pilot_fraction must lie in (0, 1)")
-        n_pilot = max(fn.dim, int(round(pilot_fraction * n_total)))
-        if n_pilot >= n_total:
-            raise ValueError("pilot stage consumes the whole budget")
-        pilot_counts = allocation.largest_remainder(np.ones(fn.dim), n_pilot)
-        pilot_var = 1.0 / pilot_counts.astype(float) ** 2
+        pilot_var, n_total = _pilot_stage(fn.dim, n_total, pilot_fraction)
         theta_pilot = sample_param_estimates(theta_true, pilot_var, gen)
         g = fn.gradient(theta_pilot)
-        n_total = n_total - n_pilot
     if np.all(g == 0.0):
-        raise ValueError("zero gradient: the separable baseline has no "
-                         "allocation target here")
+        raise ValueError(_ZERO_GRADIENT)
     counts = allocation.largest_remainder(np.abs(g) ** (2.0 / 3.0), n_total)
     # parameters the gradient ignores get no photons and stay at the prior
-    var = np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
-    return var
+    return count_variances(counts)
 
 
 def run_unentangled(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
@@ -257,23 +267,39 @@ def run_unentangled(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
 def run_unentangled_batch(fn: AnalyticFunction, theta_true,
                           budget: ResourceBudget, rng, trials: int,
                           pilot_fraction: float | None = None) -> np.ndarray:
-    """Estimates from ``trials`` independent baseline runs.
+    """Estimates from ``trials`` independent baseline runs, vectorized.
 
-    With a pilot stage the allocation is re-drawn per trial, so this path
-    falls back to a row loop; the fixed-allocation path is vectorized.
+    Without a pilot stage every trial shares one allocation and draws one
+    (trials, d) block of normals. With a pilot stage each trial re-allocates
+    from its own pilot estimate; the normals are drawn as one (trials, 2, d)
+    block, pilot in slot 0 and final estimate in slot 1, which is exactly
+    the sequence a loop of ``run_unentangled`` draws from the same
+    generator. Both draw orders are part of the reproducibility contract.
+    A non-finite pilot gradient or estimate raises ``EvaluationError``.
     """
     theta_true = as_params(theta_true, fn.dim)
     if trials < 1:
         raise ValueError("trials must be positive")
     gen = _generator(rng)
-    if pilot_fraction is not None:
-        out = np.empty(trials)
-        for k in range(trials):
-            out[k] = run_unentangled(fn, theta_true, budget, gen,
-                                     pilot_fraction).estimate
-        return out
-    var = _unentangled_variances(fn, theta_true, budget, gen, None)
-    sampled = sample_param_estimates(theta_true, var, gen, size=trials)
-    theta_hat = np.where(var[None, :] > 0, sampled,
-                         _prior_point(fn.dim)[None, :])
-    return fn.values(theta_hat)
+    if pilot_fraction is None or budget.kind == "qubit-time":
+        # one shared allocation; a pilot under a time budget is rejected here
+        var = _unentangled_variances(fn, theta_true, budget, gen,
+                                     pilot_fraction)
+        sampled = sample_param_estimates(theta_true, var, gen, size=trials)
+    else:
+        pilot_var, n_final = _pilot_stage(fn.dim, int(budget.amount),
+                                          pilot_fraction)
+        normals = gen.standard_normal((trials, 2, fn.dim))
+        g = fn.gradients(theta_true + np.sqrt(pilot_var) * normals[:, 0])
+        if not np.all(np.isfinite(g)):
+            raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
+        if np.any(np.all(g == 0.0, axis=1)):
+            raise ValueError(_ZERO_GRADIENT)
+        counts = allocation.largest_remainder(np.abs(g) ** (2.0 / 3.0),
+                                              n_final)
+        var = count_variances(counts)
+        sampled = theta_true + np.sqrt(var) * normals[:, 1]
+    out = fn.values(np.where(var > 0, sampled, _prior_point(fn.dim)))
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"non-finite value of {fn.label}")
+    return out

@@ -204,6 +204,37 @@ def test_largest_remainder_battery():
         np.testing.assert_array_equal(counts, ms.largest_remainder(w * 7.5, total))
 
 
+def test_largest_remainder_rows_match_vector_calls():
+    rng = np.random.default_rng(61)
+    for d in range(1, 33):
+        w = rng.uniform(0.0, 5.0, size=(40, d))
+        w[rng.random((40, d)) < 0.2] = 0.0
+        w[:5] = rng.integers(0, 3, size=(5, d))  # exact ties
+        w[w.sum(axis=1) == 0.0, 0] = 1.0
+        for total in (0, 1, d, int(rng.integers(2, 500))):
+            rows = ms.largest_remainder(w, total)
+            assert rows.shape == w.shape
+            assert np.all(rows.sum(axis=1) == total)
+            for wi, ci in zip(w, rows):
+                np.testing.assert_array_equal(ci, ms.largest_remainder(wi, total))
+    np.testing.assert_array_equal(ms.largest_remainder(np.zeros((3, 2)), 0),
+                                  np.zeros((3, 2)))
+    # many exact ties: leftover units go to the largest remainders, equal
+    # remainders in index order (Python's sort is stable)
+    w = rng.integers(1, 4, size=(20, 64)).astype(float)
+    for total in rng.integers(65, 400, size=5):
+        quota = w / w.sum(axis=1, keepdims=True) * total
+        for q, counts in zip(quota, ms.largest_remainder(w, total)):
+            want = np.floor(q).astype(int)
+            order = sorted(range(q.size), key=lambda i: want[i] - q[i])
+            want[order[:total - want.sum()]] += 1
+            np.testing.assert_array_equal(counts, want)
+    with pytest.raises(ValueError):
+        ms.largest_remainder([[1.0, 2.0], [0.0, 0.0]], 3)
+    with pytest.raises(ValueError):
+        ms.largest_remainder(np.ones((2, 0)), 3)
+
+
 def test_hybrid_phase():
     assert ms.hybrid_phase(["qubit", "photon"], [0.5, 0.3], 2.0, [0, 5]) == pytest.approx(2.5)
     th = [0.1, 0.2, 0.3]

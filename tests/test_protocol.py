@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsn import allocation as al, bounds, functions as fns, protocol as pr
+from qsn import allocation as al, bounds, experiment as ex, functions as fns, protocol as pr
 from qsn.measurement import RngStream
 
 
@@ -228,6 +228,69 @@ def test_unentangled_pilot_stage():
     with pytest.raises(ValueError, match="full span"):
         pr.run_unentangled(f, theta, pr.ResourceBudget("qubit-time", 10.0),
                            RngStream(47, 2), pilot_fraction=0.2)
+
+
+@pytest.mark.parametrize("fn, theta, photons, pilot", [
+    (fns.product(4), (0.8, 1.0, 1.3, 1.6), 100000, 0.1),
+    (fns.linear([1.0, 8.0]), (0.3, -0.2), 100, 0.2),
+    (fns.product(16), tuple(np.linspace(0.7, 1.45, 16)), 5000, 0.1),
+])
+def test_pilot_batch_matches_scalar_loop_draw_for_draw(fn, theta, photons, pilot):
+    # the (trials, 2, d) block replays the loop's per-trial sequence of d
+    # pilot normals, then d estimate normals, so every bit must agree
+    budget = pr.ResourceBudget("photon-number", photons)
+    batch = pr.run_unentangled_batch(fn, theta, budget, RngStream(53, 1), 300,
+                                     pilot_fraction=pilot)
+    gen = RngStream(53, 1).generator()
+    loop = np.array([pr.run_unentangled(fn, theta, budget, gen, pilot).estimate
+                     for _ in range(300)])
+    assert batch.tobytes() == loop.tobytes()
+
+
+def _pilot_target(value_rule, grad_rule):
+    # rules written for (2,) and (n, 2) input alike
+    return fns.from_rules(2, "pilot-target", value_rule, grad_rule,
+                          lambda th: np.zeros((2, 2)), grad_batch_rule=grad_rule)
+
+
+def test_pilot_batch_rejects_bad_rows_without_nan():
+    # theta_0 sits on the switch, so some pilot rows land on either side
+    budget = pr.ResourceBudget("photon-number", 400)
+    theta = (0.5, 0.5)
+    total = lambda th: th.sum(axis=-1)
+    switch = lambda th, on, off: np.where(th[..., :1] >= 0.5, on, off) * np.ones(2)
+    flat = _pilot_target(total, lambda th: switch(th, 1.0, 0.0))
+    with pytest.raises(ValueError, match="zero gradient"):
+        pr.run_unentangled_batch(flat, theta, budget, RngStream(59), 200, 0.2)
+    gen = RngStream(59).generator()
+    with pytest.raises(ValueError, match="zero gradient"):
+        for _ in range(200):
+            pr.run_unentangled(flat, theta, budget, gen, 0.2)
+
+    pole = _pilot_target(total, lambda th: switch(th, np.inf, 1.0))
+    with pytest.raises(fns.EvaluationError):
+        pr.run_unentangled_batch(pole, theta, budget, RngStream(59), 200, 0.2)
+
+    blowup = _pilot_target(
+        lambda th: np.where(th[..., 0] >= 0.5, np.inf, total(th)),
+        lambda th: np.ones_like(th))
+    for pilot in (0.2, None):
+        with pytest.raises(fns.EvaluationError):
+            pr.run_unentangled_batch(blowup, theta, budget, RngStream(59), 200,
+                                     pilot)
+
+
+def test_pilot_estimate_mse_thread_invariant_and_pinned():
+    # two chunks; the pins are the values of the per-trial loop this batch
+    # path replaced, so the pilot output bits are unchanged
+    cfg = ex.ExperimentConfig(fns.product(4), (0.8, 1.0, 1.3, 1.6),
+                              pr.ResourceBudget("photon-number", 100000),
+                              protocol="unentangled", pilot_fraction=0.1)
+    one = ex.estimate_mse(cfg, ex.CHUNK + 1, 2024, threads=1)
+    two = ex.estimate_mse(cfg, ex.CHUNK + 1, 2024, threads=2)
+    assert one == two
+    assert (one.mse, one.se, one.bias) == (
+        1.7703669112845615e-08, 2.8054022113395563e-10, -5.063638821779117e-07)
 
 
 def test_label_permutation_invariance():
