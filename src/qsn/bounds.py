@@ -120,6 +120,14 @@ def photon_bounds(fn: AnalyticFunction, theta, photons: float) -> BoundReport:
     )
 
 
+def for_budget(fn: AnalyticFunction, theta, budget) -> BoundReport:
+    """``qubit_bounds`` or ``photon_bounds``, by the kind of a
+    ``protocol.ResourceBudget``."""
+    if budget.kind == "qubit-time":
+        return qubit_bounds(fn, theta, budget.amount)
+    return photon_bounds(fn, theta, int(budget.amount))
+
+
 def seminorm_for_basis(jacobian) -> float:
     """Generator seminorm of the first basis function: sum_i |J^-1_{i, 0}|.
 
@@ -161,7 +169,10 @@ def hessian_quartic_coeffs(fn: AnalyticFunction, theta) -> np.ndarray:
     MSE for first-step variances s_i^2; the diagonal reproduces the Gaussian
     fourth moment (C_ii s_i^4 = 3 f_ii^2 s_i^4 / 4).
     """
-    h = fn.hessian(as_params(theta, fn.dim))
+    return _quartic_coeffs(fn.hessian(as_params(theta, fn.dim)))
+
+
+def _quartic_coeffs(h: np.ndarray) -> np.ndarray:
     return (2.0 * h * h + np.outer(np.diag(h), np.diag(h))) / 4.0
 
 
@@ -221,7 +232,7 @@ def time_mse_coefficients(fn: AnalyticFunction, theta) -> TwoStepCoefficients:
         g[j_star] * np.sum(fn.third_diag_slice(theta, j_star))
         + np.sum(h[j_star] ** 2)
     )
-    g1 = float(hessian_quartic_coeffs(fn, theta).sum())
+    g1 = float(_quartic_coeffs(h).sum())
     return TwoStepCoefficients(
         g1=g1, g2=g2, g3=g3, argmax_index=j_star, degenerate=degenerate
     )

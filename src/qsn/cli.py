@@ -199,11 +199,7 @@ def _emit_records(args, records, seed: int) -> None:
 def _cmd_bounds(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
-    budget = _budget_from(args)
-    if budget.kind == "qubit-time":
-        rep = bounds.qubit_bounds(fn, theta, budget.amount)
-    else:
-        rep = bounds.photon_bounds(fn, theta, int(budget.amount))
+    rep = bounds.for_budget(fn, theta, _budget_from(args))
     _emit_rows(args, (
         "function", "theta", "resource_kind", "resource", "entangled_bound",
         "unentangled_baseline", "advantage_ratio", "conjectured",

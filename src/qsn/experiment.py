@@ -347,10 +347,7 @@ def _prediction_and_bound(config: ExperimentConfig) -> tuple[float, float]:
     """Model prediction for the configured protocol and the entangled lower
     bound, both from analytic formulas only."""
     fn, theta = config.function, config.theta
-    if config.budget.kind == "qubit-time":
-        report = bounds.qubit_bounds(fn, theta, config.budget.amount)
-    else:
-        report = bounds.photon_bounds(fn, theta, int(config.budget.amount))
+    report = bounds.for_budget(fn, theta, config.budget)
     if config.protocol == "two-step":
         predicted = allocation.predicted_mse(fn, theta, config.resolved_plan())
     else:
@@ -363,7 +360,8 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
     """One MSE point per grid value, with matched predictions and bounds.
 
     Grid point i draws from stream index i, so points are independent and
-    the whole sweep is reproducible from the master seed alone.
+    the whole sweep is reproducible from the master seed alone. A two-step
+    point resolves its plan once, for the run and the prediction alike.
     """
     grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -372,6 +370,8 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
     for i, amount in enumerate(grid):
         cfg = config.with_resource(amount)
         t0 = time.perf_counter()
+        if cfg.protocol == "two-step":
+            cfg = replace(cfg, plan=cfg.resolved_plan())
         est = estimate_mse(cfg, trials, master_seed, threads=threads,
                            stream_index=i)
         ms = (time.perf_counter() - t0) * 1e3

@@ -13,6 +13,7 @@ parameter axis last. Built-in rules are vectorized over the batch axis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,9 +69,10 @@ class AnalyticFunction:
     ``value_rule`` must accept arrays of shape (d,) or (n, d) and return a
     scalar or (n,) array. Derivative rules, when given, take a single (d,)
     point; ``grad_rule`` may additionally be batch-aware (shape (n, d) in,
-    (n, d) out) which the protocol simulators exploit. Missing rules are
-    replaced by central finite differences of the best available lower-order
-    rule.
+    (n, d) out) which the protocol simulators exploit. ``third_diag_rule(theta,
+    j)`` returns the slice f_{j,i,i} (i = 0..d-1) without building the full
+    third tensor. Missing rules are replaced by central finite differences of
+    the best available lower-order rule.
     """
 
     dim: int
@@ -81,6 +83,9 @@ class AnalyticFunction:
     hess_rule: Callable[[np.ndarray], np.ndarray] | None = None
     third_rule: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch_rule: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
+    third_diag_rule: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, repr=False
     )
 
@@ -137,11 +142,15 @@ class AnalyticFunction:
         """Vector of third derivatives f_{j,i,i} for i = 0..d-1.
 
         This is the only third-order information the two-step error expansion
-        needs, and it stays O(d) in any dimension.
+        needs. The built-in families answer it from ``third_diag_rule`` in
+        O(d) in any dimension; a bare ``third_rule`` builds the full tensor,
+        and the finite-difference fallback costs O(d) gradient components.
         """
         theta = as_params(theta, self.dim)
         if not 0 <= j < self.dim:
             raise ValueError(f"index {j} out of range for d={self.dim}")
+        if self.third_diag_rule is not None:
+            return np.asarray(self.third_diag_rule(theta, j), dtype=float)
         if self.third_rule is not None:
             tensor = np.asarray(self.third_rule(theta), dtype=float)
             return np.einsum("ii->i", tensor[j]).copy()
@@ -310,6 +319,27 @@ def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
 # -- built-in families -------------------------------------------------------
 
 
+def fold_columns(ufunc: np.ufunc, points) -> np.ndarray:
+    """``ufunc`` folded left to right over the last axis of (d,) or (n, d).
+
+    One elementwise call per column: a reduction along a short last axis
+    pays a loop call per row instead, 10-40x slower at d = 2 and n = 8192.
+    The fold is sequential, so for ``np.multiply`` and ``np.maximum`` it
+    gives the bits of ``ufunc.reduce(points, axis=-1)``; ``np.add.reduce``
+    switches to interleaved partial sums at eight terms and differs there.
+    """
+    points = np.asarray(points, dtype=float)
+    out = points[..., 0].copy()
+    for k in range(1, points.shape[-1]):
+        ufunc(out, points[..., k], out=out)
+    return out
+
+
+def _zero_diag_slice(dim: int):
+    # every third derivative with a repeated index vanishes
+    return lambda theta, j: np.zeros(dim)
+
+
 def linear(weights, label: str | None = None) -> AnalyticFunction:
     """f(theta) = weights . theta (constant gradient, zero curvature)."""
     w = as_params(weights)
@@ -323,59 +353,72 @@ def linear(weights, label: str | None = None) -> AnalyticFunction:
         hess_rule=lambda th: np.zeros((d, d)),
         third_rule=lambda th: np.zeros((d, d, d)),
         grad_batch_rule=lambda pts: np.broadcast_to(w, pts.shape).copy(),
+        third_diag_rule=_zero_diag_slice(d),
     )
 
 
 def _product_gradients(points: np.ndarray) -> np.ndarray:
-    # leave-one-out products via prefix/suffix scans; exact even at zeros
+    # leave-one-out products as a prefix scan times a suffix scan, one column
+    # at a time as in fold_columns; exact even at zeros
     n, d = points.shape
-    grads = np.ones((n, d))
-    if d > 1:
-        prefix = np.cumprod(points, axis=1)
-        suffix = np.cumprod(points[:, ::-1], axis=1)[:, ::-1]
-        grads[:, 1:] *= prefix[:, :-1]
-        grads[:, :-1] *= suffix[:, 1:]
+    grads = np.empty((n, d))
+    grads[:, 0] = 1.0
+    for k in range(1, d):
+        np.multiply(grads[:, k - 1], points[:, k - 1], out=grads[:, k])
+    suffix = np.ones(n)
+    for k in range(d - 2, -1, -1):
+        suffix *= points[:, k + 1]
+        grads[:, k] *= suffix
     return grads
 
 
+def _leave_out_products(theta: np.ndarray, left_out: np.ndarray) -> np.ndarray:
+    """For each row of distinct indices, the product of theta over every
+    other index, multiplied in ascending index order."""
+    rows, k = left_out.shape
+    keep = np.ones((rows, theta.shape[0]), bool)
+    np.put_along_axis(keep, left_out, False, axis=1)
+    kept = np.broadcast_to(theta, keep.shape)[keep]
+    return np.prod(kept.reshape(rows, theta.shape[0] - k), axis=-1)
+
+
 def product(dim: int, label: str | None = None) -> AnalyticFunction:
-    """f(theta) = prod_i theta_i, the standard multiplicative benchmark."""
+    """f(theta) = prod_i theta_i, the standard multiplicative benchmark.
+
+    f is affine in each coordinate, so a derivative is the product of the
+    coordinates it does not differentiate when its indices are distinct,
+    and 0 otherwise.
+    """
     if dim < 1:
         raise ValueError("product needs dim >= 1")
 
     def hess(theta: np.ndarray) -> np.ndarray:
         h = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                mask = np.ones(dim, bool)
-                mask[[i, j]] = False
-                h[i, j] = h[j, i] = float(np.prod(theta[mask]))
+        if dim > 1:
+            i, j = np.triu_indices(dim, 1)
+            h[i, j] = h[j, i] = _leave_out_products(theta, np.stack([i, j], 1))
         return h
 
     def third(theta: np.ndarray) -> np.ndarray:
         t = np.zeros((dim, dim, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    mask = np.ones(dim, bool)
-                    mask[[i, j, k]] = False
-                    v = float(np.prod(theta[mask]))
-                    for perm in (
-                        (i, j, k), (i, k, j), (j, i, k),
-                        (j, k, i), (k, i, j), (k, j, i),
-                    ):
-                        t[perm] = v
+        if dim > 2:
+            idx = np.indices((dim, dim, dim)).reshape(3, -1)
+            i, j, k = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
+            v = _leave_out_products(theta, np.stack([i, j, k], 1))
+            for perm in itertools.permutations((i, j, k)):
+                t[perm] = v
         return t
 
     return AnalyticFunction(
         dim=dim,
         family="product",
         label=label or f"product:d={dim}",
-        value_rule=lambda th: np.prod(np.asarray(th, float), axis=-1),
+        value_rule=lambda th: fold_columns(np.multiply, th),
         grad_rule=lambda th: _product_gradients(np.asarray(th, float)[None, :])[0],
         hess_rule=hess,
         third_rule=third,
         grad_batch_rule=_product_gradients,
+        third_diag_rule=_zero_diag_slice(dim),
     )
 
 
@@ -400,6 +443,7 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
         hess_rule=lambda th: sym.copy(),
         third_rule=lambda th: np.zeros((d, d, d)),
         grad_batch_rule=lambda pts: pts @ sym.T + b,
+        third_diag_rule=_zero_diag_slice(d),
     )
 
 

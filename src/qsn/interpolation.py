@@ -17,7 +17,7 @@ since only there is the target a fixed scalar combination of the readings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -350,19 +350,16 @@ def run_interpolation(ansatz: Ansatz, true_params, layout: SensorLayout,
     theta_true = forward_readings(ansatz, true_params, layout)
     fn = induced_function(ansatz, layout, true_params)
     cfg = ExperimentConfig(function=fn, theta=tuple(theta_true), budget=budget)
+    cfg = replace(cfg, plan=cfg.resolved_plan())
     two_step = estimate_mse(cfg, trials, seed, threads=threads, stream_index=0)
     baseline_cfg = ExperimentConfig(function=fn, theta=tuple(theta_true),
                                     budget=budget, protocol="unentangled")
     unentangled = estimate_mse(baseline_cfg, trials, seed, threads=threads,
                                stream_index=1)
-    if budget.kind == "qubit-time":
-        report = bounds.qubit_bounds(fn, theta_true, budget.amount)
-    else:
-        report = bounds.photon_bounds(fn, theta_true, int(budget.amount))
     return InterpolationReport(
         truth=float(ansatz.field(true_params, np.array([layout.target]))[0]),
         two_step=two_step,
         unentangled=unentangled,
-        bound_report=report,
-        predicted_two_step=predicted_mse(fn, theta_true, cfg.resolved_plan()),
+        bound_report=bounds.for_budget(fn, theta_true, budget),
+        predicted_two_step=predicted_mse(fn, theta_true, cfg.plan),
     )

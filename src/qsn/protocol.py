@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocation
-from .functions import AnalyticFunction, EvaluationError, as_params
+from .functions import (AnalyticFunction, EvaluationError, as_params,
+                        fold_columns)
 from .measurement import (_generator, count_variances, lincomb_estimate,
                           sample_param_estimates)
 
@@ -188,10 +189,12 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     f1 = fn.values(theta1)
     q = np.einsum("nd,nd->n", w, theta_true[None, :] - theta1)
     abs_w = np.abs(w)
-    wmax = np.max(abs_w, axis=1)
+    wmax = fold_columns(np.maximum, abs_w)
     if plan.kind == "qubit-time":
         noise_sd = wmax / plan.t2
     else:
+        # from eight terms on np.sum adds in interleaved partial sums, whose
+        # bits a column fold would not reproduce
         noise_sd = np.sum(abs_w, axis=1) / plan.n2
     live = wmax > TINY_GRADIENT_RTOL * np.maximum(1.0, np.abs(f1))
     q = np.where(live, q, 0.0)

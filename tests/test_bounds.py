@@ -193,3 +193,27 @@ def test_photon_residual_coefficient():
     assert c == pytest.approx(16.0)
     with pytest.raises(ValueError):
         bounds.photon_residual_coefficient(f, [1.0, 1.0], [0.7, 0.4])
+
+
+def test_for_budget_dispatches_on_the_budget_kind():
+    from qsn.protocol import ResourceBudget
+
+    f = fns.product(3)
+    th = [0.5, -1.2, 2.0]
+    assert bounds.for_budget(f, th, ResourceBudget("qubit-time", 50.0)) == \
+        bounds.qubit_bounds(f, th, 50.0)
+    assert bounds.for_budget(f, th, ResourceBudget("photon-number", 70)) == \
+        bounds.photon_bounds(f, th, 70)
+
+
+def test_time_mse_coefficients_evaluates_one_hessian():
+    calls = []
+    base = fns.product(4)
+    f = fns.from_rules(dim=4, label="counted product",
+                       value_rule=base.value_rule, grad_rule=base.grad_rule,
+                       hess_rule=lambda th: calls.append(1) or base.hess_rule(th),
+                       third_rule=base.third_rule)
+    th = [0.8, 1.0, 1.3, 1.6]
+    c = bounds.time_mse_coefficients(f, th)
+    assert len(calls) == 1
+    assert c == bounds.time_mse_coefficients(base, th)

@@ -1,6 +1,11 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +237,57 @@ def test_interpolate_row(capsys):
     assert float(row["advantage"]) > 1.0
     assert float(row["entangled_bound"]) == pytest.approx(3.7642583e-8,
                                                           rel=1e-6)
+
+
+# sha256 of `qsn sweep ... --format json --no-timestamp` stdout, recorded
+# before the product rules and the two-step chunk kernel were rewritten
+# without reductions along the short parameter axis; the whole output
+# (metadata included) must keep those bytes
+SWEEP_THETA = {
+    2: "0.8,1.3",
+    4: "0.8,1,1.3,1.6",
+    32: ",".join(f"{0.9 + 0.01 * i:.2f}" for i in range(32)),
+}
+SWEEP_TRIALS = {2: 20000, 4: 20000, 32: 4096}
+SWEEP_PINS = [
+    (2, "two-step", "--times", "1e3,1e4,1e5",
+     "62d056b892e33ada81f80f39728a50fc0d56b966194bb65d314056544b84334c"),
+    (2, "unentangled", "--times", "1e3,1e4,1e5",
+     "12f3c0fc75f20300ed05ba80173fc953f413ac098323e5396e0cc1e6a5ce71c0"),
+    (4, "two-step", "--times", "1e3,1e4,1e5",
+     "67b95205643dd614bf2d10123d6a84d0dffd50d5ff5cace613de023bf05b77da"),
+    (4, "unentangled", "--times", "1e3,1e4,1e5",
+     "3672a53b5974d41fb5318a027bcac1a5df86f6db99a0265438e152f0ea2ca44d"),
+    (32, "two-step", "--times", "1e3,1e4,1e5",
+     "be6577bb51222e7a50593396d49dab2a1637d6981d8e9dd5aea1e7ec3636587a"),
+    (32, "unentangled", "--times", "1e3,1e4,1e5",
+     "9148012546360bfb4e678e523fdd53acf6150813c44d2c5282cb0ebc9abed95a"),
+    (4, "two-step", "--photons", "2000,20000",
+     "3a324b7d4989c94590cc462b53c163c2fbec7c1bcd9bcb8d1c390a58660c4eb9"),
+]
+
+
+@pytest.mark.parametrize("d, protocol, flag, grid, digest", SWEEP_PINS)
+def test_sweep_json_bytes_pinned(capsys, d, protocol, flag, grid, digest):
+    code = run_command([
+        "sweep", "--function", f"product:d={d}", "--theta", SWEEP_THETA[d],
+        flag, grid, "--protocol", protocol, "--trials", str(SWEEP_TRIALS[d]),
+        "--seed", "11", "--threads", "1", "--format", "json",
+        "--no-timestamp"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported only inside the oracle that needs it;
+    # importing it at load adds about half a second to every command
+    src = str(Path(qsn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsn.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -218,6 +218,20 @@ def test_sweep_records_product():
         assert (a.mse, a.mse_se, a.bias) == (b.mse, b.mse_se, b.bias)
 
 
+@pytest.mark.parametrize("protocol, plans", [("two-step", 3),
+                                              ("unentangled", 0)])
+def test_sweep_resolves_each_plan_once(monkeypatch, protocol, plans):
+    calls = []
+    build_plan = ex.build_plan
+    monkeypatch.setattr(ex, "build_plan",
+                        lambda *a, **k: calls.append(a) or build_plan(*a, **k))
+    cfg = product_config((0.8, 1.3), protocol=protocol)
+    records = ex.sweep_resource(cfg, (1e3, 1e4, 1e5), trials=200,
+                                master_seed=5)
+    assert len(records) == 3
+    assert [a[2].amount for a in calls] == [1e3, 1e4, 1e5][:plans]
+
+
 def test_sweep_off_tie_matches_prediction():
     # with distinct gradient components every point sits within 3 SE
     cfg = product_config((1.0, 0.7))

@@ -163,3 +163,87 @@ def test_hessian_symmetrized_even_for_unsymmetric_rule():
         hess_rule=lambda th: np.array([[0.0, 1.0], [3.0, 0.0]]),
     )
     np.testing.assert_allclose(f.hessian([0.0, 0.0]), [[0.0, 2.0], [2.0, 0.0]])
+
+
+# -- vectorized product rules against the loops they replaced -----------------
+
+
+def loop_product_hessian(theta):
+    d = theta.shape[0]
+    h = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            mask = np.ones(d, bool)
+            mask[[i, j]] = False
+            h[i, j] = h[j, i] = float(np.prod(theta[mask]))
+    return h
+
+
+def loop_product_third(theta):
+    d = theta.shape[0]
+    t = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                mask = np.ones(d, bool)
+                mask[[i, j, k]] = False
+                v = float(np.prod(theta[mask]))
+                for perm in ((i, j, k), (i, k, j), (j, i, k),
+                             (j, k, i), (k, i, j), (k, j, i)):
+                    t[perm] = v
+    return t
+
+
+def loop_product_gradients(points):
+    n, d = points.shape
+    grads = np.ones((n, d))
+    if d > 1:
+        prefix = np.cumprod(points, axis=1)
+        suffix = np.cumprod(points[:, ::-1], axis=1)[:, ::-1]
+        grads[:, 1:] *= prefix[:, :-1]
+        grads[:, :-1] *= suffix[:, 1:]
+    return grads
+
+
+def signed_points_with_zeros(rng, shape):
+    pts = rng.uniform(-1.8, 1.8, size=shape)
+    flat = pts.reshape(-1)
+    flat[rng.choice(flat.size, size=max(1, flat.size // 7), replace=False)] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 17, 33])
+def test_product_hessian_and_third_rules_bit_equal_to_loops(d):
+    rng = np.random.default_rng(100 + d)
+    f = fns.product(d)
+    points = [rng.uniform(-1.8, 1.8, size=d), signed_points_with_zeros(rng, d),
+              np.zeros(d), -np.ones(d)]
+    for th in points:
+        assert np.array_equal(f.hess_rule(th), loop_product_hessian(th))
+        assert np.array_equal(f.third_rule(th), loop_product_third(th))
+        assert np.array_equal(f.hessian(th), loop_product_hessian(th))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 17, 33])
+def test_product_value_and_gradient_kernels_bit_equal_to_reductions(d):
+    rng = np.random.default_rng(200 + d)
+    f = fns.product(d)
+    pts = signed_points_with_zeros(rng, (257, d))
+    assert np.array_equal(f.values(pts), np.prod(pts, axis=-1))
+    assert np.array_equal(f.gradients(pts), loop_product_gradients(pts))
+    for p in pts[:5]:
+        assert f.value(p) == float(np.prod(p))
+        assert np.array_equal(f.gradient(p), loop_product_gradients(p[None, :])[0])
+    # the row max of |gradients| that the two-step chunk takes
+    assert np.array_equal(fns.fold_columns(np.maximum, np.abs(pts)),
+                          np.max(np.abs(pts), axis=1))
+
+
+def test_product_diag_slice_needs_no_full_tensor():
+    f = fns.product(64)
+    th = np.random.default_rng(9).uniform(0.5, 1.5, size=64)
+    for j in (0, 31, 63):
+        sl = f.third_diag_slice(th, j)
+        assert sl.shape == (64,) and np.array_equal(sl, np.zeros(64))
+    with pytest.raises(ValueError, match="third tensor"):
+        f.third_tensor(th)

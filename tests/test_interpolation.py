@@ -236,3 +236,25 @@ def test_run_interpolation_deterministic():
     assert a.unentangled.mse == b.unentangled.mse
     # the two protocols draw from distinct streams of the same seed
     assert a.two_step.mse != a.unentangled.mse
+
+
+def test_run_interpolation_resolves_its_plan_once(monkeypatch):
+    from qsn import experiment
+
+    calls = []
+    build_plan = experiment.build_plan
+    monkeypatch.setattr(experiment, "build_plan",
+                        lambda *a, **k: calls.append(a) or build_plan(*a, **k))
+    report = ip.run_interpolation(BEAM, TRUE, LAYOUT,
+                                  ResourceBudget("qubit-time", 1e3),
+                                  trials=2000, seed=3)
+    assert len(calls) == 1
+    # the bits of the report before the plan was shared, at this seed
+    assert (report.two_step.mse, report.two_step.se, report.two_step.bias,
+            report.unentangled.mse, report.unentangled.se,
+            report.predicted_two_step,
+            report.bound_report.entangled_bound) == (
+        7.019545991090691e-06, 2.4165935604262063e-07,
+        -0.00031952300447501205, 5.157993578892548e-06,
+        1.6626097860277856e-07, 6.807385139361266e-06,
+        3.764258308109984e-06)
