@@ -314,10 +314,11 @@ def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, f
 
     Independent oracle for the unentangled photon baseline (whose closed form
     is n_i proportional to a_i^{1/3}); deliberately solved as a generic
-    constrained problem, not by that closed form.
+    constrained problem, not by that closed form. It needs scipy, which is a
+    test dependency only (the ``test`` extra), not a runtime one.
     """
-    # imported here: scipy.optimize dominates the package's import time and
-    # nothing else needs it
+    # imported here: scipy is not a runtime dependency, and scipy.optimize
+    # dominates the import time wherever it is installed
     from scipy.optimize import minimize
 
     a = np.asarray(weights_sq, dtype=float)

@@ -149,7 +149,12 @@ def seminorm_for_basis(jacobian) -> float:
 
 def coordinate_basis(fn: AnalyticFunction, theta) -> np.ndarray:
     """Basis Jacobian achieving the seminorm optimum: row 0 is grad f, the
-    other rows are coordinate directions for every index except j*."""
+    other rows are coordinate directions for every index except j*.
+
+    No protocol path uses it; it is kept as the oracle for the acceptance
+    suite's seminorm check, where ``seminorm_for_basis`` of this basis must
+    meet the 1/max_i |f_i| lower bound with equality.
+    """
     theta = as_params(theta, fn.dim)
     g = fn.gradient(theta)
     j_star, degenerate = argmax_grad_index(fn, theta)
@@ -174,23 +179,6 @@ def hessian_quartic_coeffs(fn: AnalyticFunction, theta) -> np.ndarray:
 
 def _quartic_coeffs(h: np.ndarray) -> np.ndarray:
     return (2.0 * h * h + np.outer(np.diag(h), np.diag(h))) / 4.0
-
-
-def two_step_prediction(
-    fn: AnalyticFunction, theta, variances, lincomb_variance: float
-) -> float:
-    """Predicted two-step MSE for given first-step variances and a given
-    linear-combination measurement variance."""
-    theta = as_params(theta, fn.dim)
-    var = np.asarray(variances, dtype=float)
-    if var.shape != (fn.dim,):
-        raise ValueError(f"need {fn.dim} variances")
-    if np.any(var < 0) or not np.all(np.isfinite(var)):
-        raise ValueError("variances must be finite and nonnegative")
-    if lincomb_variance < 0:
-        raise ValueError("lincomb_variance must be nonnegative")
-    coeffs = hessian_quartic_coeffs(fn, theta)
-    return float(lincomb_variance + var @ coeffs @ var)
 
 
 @dataclass(frozen=True)

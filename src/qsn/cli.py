@@ -25,11 +25,11 @@ import sys
 from dataclasses import replace
 
 from . import __version__, allocation, bounds, functions
-from .experiment import (ExperimentConfig, base_metadata, fom_battery,
-                         records_csv_text, records_json_text, sweep_resource,
-                         verify_general_fom)
+from .experiment import (ExperimentConfig, base_metadata, check_grid,
+                         fom_battery, records_csv_text, records_json_text,
+                         sweep_resource, verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
-from .protocol import ResourceBudget, build_plan
+from .protocol import ResourceBudget, build_plan, parse_policy
 
 
 class UsageError(ValueError):
@@ -122,10 +122,12 @@ def _budget_from(args) -> ResourceBudget:
         raise UsageError(str(exc)) from None
 
 
-def _check_policy(policy: str) -> str:
-    if policy in ("optimal", "numeric") or policy.startswith(("power:", "fixed:")):
-        return policy
-    raise UsageError(f"unknown allocation policy {policy!r}")
+def _check_policy(policy: str, kind: str) -> str:
+    try:
+        parse_policy(policy, kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return policy
 
 
 def _check_theta(fn, theta) -> tuple:
@@ -219,12 +221,13 @@ def _cmd_bounds(args) -> int:
 def _config_from(args) -> ExperimentConfig:
     fn = args.function
     theta = _check_theta(fn, args.theta)
+    budget = _budget_from(args)
     return ExperimentConfig(
         function=fn,
         theta=theta,
-        budget=_budget_from(args),
+        budget=budget,
         protocol=args.protocol,
-        policy=_check_policy(args.alloc),
+        policy=_check_policy(args.alloc, budget.kind),
     )
 
 
@@ -246,12 +249,13 @@ def _cmd_sweep(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
     try:
-        budget0 = ResourceBudget(kind, float(grid[0]))
+        grid = check_grid(kind, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cfg = ExperimentConfig(function=fn, theta=theta, budget=budget0,
+    cfg = ExperimentConfig(function=fn, theta=theta,
+                           budget=ResourceBudget(kind, grid[0]),
                            protocol=args.protocol,
-                           policy=_check_policy(args.alloc))
+                           policy=_check_policy(args.alloc, kind))
     records = sweep_resource(cfg, grid, args.trials, seed,
                              threads=args.threads)
     _emit_records(args, records, seed)
@@ -262,7 +266,7 @@ def _cmd_allocate(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
     budget = _budget_from(args)
-    plan = build_plan(fn, theta, budget, _check_policy(args.alloc))
+    plan = build_plan(fn, theta, budget, _check_policy(args.alloc, budget.kind))
     predicted = allocation.predicted_mse(fn, theta, plan)
     _emit_rows(args, (
         "function", "theta", "kind", "policy", "total", "t1", "t2", "n1",

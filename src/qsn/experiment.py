@@ -355,17 +355,27 @@ def _prediction_and_bound(config: ExperimentConfig) -> tuple[float, float]:
     return predicted, report.entangled_bound
 
 
+def check_grid(kind: str, grid) -> list:
+    """The grid as floats; raises ValueError unless it is strictly
+    increasing and every point is a valid budget of ``kind``."""
+    grid = [float(g) for g in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("resource grid must be strictly increasing")
+    for amount in grid:
+        ResourceBudget(kind, amount)
+    return grid
+
+
 def sweep_resource(config: ExperimentConfig, grid, trials: int,
                    master_seed: int, threads: int = 1) -> list:
     """One MSE point per grid value, with matched predictions and bounds.
 
     Grid point i draws from stream index i, so points are independent and
-    the whole sweep is reproducible from the master seed alone. A two-step
-    point resolves its plan once, for the run and the prediction alike.
+    the whole sweep is reproducible from the master seed alone. The whole
+    grid is checked before the first point runs. A two-step point resolves
+    its plan once, for the run and the prediction alike.
     """
-    grid = [float(g) for g in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("resource grid must be strictly increasing")
+    grid = check_grid(config.budget.kind, grid)
     records = []
     for i, amount in enumerate(grid):
         cfg = config.with_resource(amount)

@@ -1,10 +1,13 @@
-"""Analytic functions of sensor parameters, with derivatives up to third order.
+"""Analytic functions of sensor parameters, with the derivatives the
+two-step error expansion needs.
 
 Every estimation target in this package is an :class:`AnalyticFunction`: a
 scalar function of a parameter vector theta in R^d together with whatever
-closed-form derivative rules it has. Built-in families (linear, product,
-quadratic) carry exact rules through third order; anything constructed from a
-bare value rule falls back to central finite differences with per-order step
+closed-form derivative rules it has. Past the Hessian the expansion reads
+only the diagonal third-derivative slice f_{j,i,i}, so that slice is all the
+third-order information offered. Built-in families (linear, product,
+quadratic) carry exact rules for all of it; anything constructed from a bare
+value rule falls back to central finite differences with per-order step
 sizes.
 
 Conventions. Points are 1-D arrays of shape (d,), batches are (n, d) with the
@@ -13,7 +16,6 @@ parameter axis last. Built-in rules are vectorized over the batch axis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,11 +26,6 @@ import numpy as np
 # stencil.
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
-THIRD_STEP = 1e-3
-
-# Full third-derivative tensors are O(d^3); past this dimension only the
-# directional slices needed by the two-step expansion are offered.
-FULL_TENSOR_MAX_DIM = 16
 
 
 class EvaluationError(ValueError):
@@ -53,16 +50,6 @@ def as_params(theta, dim: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Derivatives:
-    """Derivatives of a function at a point, filled up to the requested order."""
-
-    value: float
-    gradient: np.ndarray | None = None
-    hessian: np.ndarray | None = None
-    third: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class AnalyticFunction:
     """A scalar function of d parameters with optional closed-form derivatives.
 
@@ -70,9 +57,9 @@ class AnalyticFunction:
     scalar or (n,) array. Derivative rules, when given, take a single (d,)
     point; ``grad_rule`` may additionally be batch-aware (shape (n, d) in,
     (n, d) out) which the protocol simulators exploit. ``third_diag_rule(theta,
-    j)`` returns the slice f_{j,i,i} (i = 0..d-1) without building the full
-    third tensor. Missing rules are replaced by central finite differences of
-    the best available lower-order rule.
+    j)`` returns the slice f_{j,i,i} (i = 0..d-1), the only third derivatives
+    the two-step expansion reads. Missing rules are replaced by central
+    finite differences of the best available lower-order rule.
     """
 
     dim: int
@@ -81,7 +68,6 @@ class AnalyticFunction:
     value_rule: Callable[[np.ndarray], np.ndarray]
     grad_rule: Callable[[np.ndarray], np.ndarray] | None = None
     hess_rule: Callable[[np.ndarray], np.ndarray] | None = None
-    third_rule: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch_rule: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -126,56 +112,29 @@ class AnalyticFunction:
             raise EvaluationError(f"non-finite hessian of {self.label}")
         return 0.5 * (h + h.T)
 
-    def third_tensor(self, theta) -> np.ndarray:
-        """Full (d, d, d) tensor of third derivatives; d <= 16 only."""
-        theta = as_params(theta, self.dim)
-        if self.dim > FULL_TENSOR_MAX_DIM:
-            raise ValueError(
-                f"full third tensor limited to d <= {FULL_TENSOR_MAX_DIM}; "
-                "use third_diag_slice for the expansion coefficients"
-            )
-        if self.third_rule is not None:
-            return np.asarray(self.third_rule(theta), dtype=float)
-        return self._fd_third(theta)
-
     def third_diag_slice(self, theta, j: int) -> np.ndarray:
         """Vector of third derivatives f_{j,i,i} for i = 0..d-1.
 
         This is the only third-order information the two-step error expansion
         needs. The built-in families answer it from ``third_diag_rule`` in
-        O(d) in any dimension; a bare ``third_rule`` builds the full tensor,
-        and the finite-difference fallback costs O(d) gradient components.
+        O(d) in any dimension; the finite-difference fallback costs 2d + 1
+        gradient components.
         """
         theta = as_params(theta, self.dim)
         if not 0 <= j < self.dim:
             raise ValueError(f"index {j} out of range for d={self.dim}")
         if self.third_diag_rule is not None:
             return np.asarray(self.third_diag_rule(theta, j), dtype=float)
-        if self.third_rule is not None:
-            tensor = np.asarray(self.third_rule(theta), dtype=float)
-            return np.einsum("ii->i", tensor[j]).copy()
         steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
+        g0 = self._grad_component(theta, j)
         out = np.empty(self.dim)
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = steps[i]
             gp = self._grad_component(theta + e, j)
-            g0 = self._grad_component(theta, j)
             gm = self._grad_component(theta - e, j)
             out[i] = (gp - 2.0 * g0 + gm) / steps[i] ** 2
         return out
-
-    def eval_all(self, theta, order: int = 1) -> Derivatives:
-        """Value plus derivatives through ``order`` (0..3)."""
-        if not 0 <= order <= 3:
-            raise ValueError("order must be 0, 1, 2 or 3")
-        theta = as_params(theta, self.dim)
-        return Derivatives(
-            value=self.value(theta),
-            gradient=self.gradient(theta) if order >= 1 else None,
-            hessian=self.hessian(theta) if order >= 2 else None,
-            third=self.third_tensor(theta) if order >= 3 else None,
-        )
 
     # -- batch evaluation ---------------------------------------------------
 
@@ -261,26 +220,6 @@ class AnalyticFunction:
                 hess[i, j] = hess[j, i] = cross
         return hess
 
-    def _fd_third(self, theta: np.ndarray) -> np.ndarray:
-        d = self.dim
-        steps = THIRD_STEP * np.maximum(1.0, np.abs(theta))
-        tensor = np.empty((d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = steps[k]
-            hp = self.hessian(theta + e)
-            hm = self.hessian(theta - e)
-            tensor[k] = (hp - hm) / (2.0 * steps[k])
-        # symmetrize over the differentiation order
-        return (
-            tensor
-            + tensor.transpose(1, 2, 0)
-            + tensor.transpose(2, 0, 1)
-            + tensor.transpose(1, 0, 2)
-            + tensor.transpose(0, 2, 1)
-            + tensor.transpose(2, 1, 0)
-        ) / 6.0
-
 
 def argmax_grad_index(fn: AnalyticFunction, theta) -> tuple[int, bool]:
     """Index of the largest |gradient component| and a degeneracy flag.
@@ -309,11 +248,7 @@ def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
         return float(np.abs(fn.gradient(theta) - probe._fd_gradient(theta)).max())
     if order == 2:
         return float(np.abs(fn.hessian(theta) - probe._fd_hessian(theta)).max())
-    if order == 3:
-        return float(
-            np.abs(fn.third_tensor(theta) - probe._fd_third(theta)).max()
-        )
-    raise ValueError("order must be 1, 2 or 3")
+    raise ValueError("order must be 1 or 2")
 
 
 # -- built-in families -------------------------------------------------------
@@ -351,7 +286,6 @@ def linear(weights, label: str | None = None) -> AnalyticFunction:
         value_rule=lambda th: np.asarray(th, float) @ w,
         grad_rule=lambda th: w.copy(),
         hess_rule=lambda th: np.zeros((d, d)),
-        third_rule=lambda th: np.zeros((d, d, d)),
         grad_batch_rule=lambda pts: np.broadcast_to(w, pts.shape).copy(),
         third_diag_rule=_zero_diag_slice(d),
     )
@@ -387,7 +321,7 @@ def product(dim: int, label: str | None = None) -> AnalyticFunction:
 
     f is affine in each coordinate, so a derivative is the product of the
     coordinates it does not differentiate when its indices are distinct,
-    and 0 otherwise.
+    and 0 otherwise; in particular every f_{j,i,i} vanishes.
     """
     if dim < 1:
         raise ValueError("product needs dim >= 1")
@@ -399,16 +333,6 @@ def product(dim: int, label: str | None = None) -> AnalyticFunction:
             h[i, j] = h[j, i] = _leave_out_products(theta, np.stack([i, j], 1))
         return h
 
-    def third(theta: np.ndarray) -> np.ndarray:
-        t = np.zeros((dim, dim, dim))
-        if dim > 2:
-            idx = np.indices((dim, dim, dim)).reshape(3, -1)
-            i, j, k = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
-            v = _leave_out_products(theta, np.stack([i, j, k], 1))
-            for perm in itertools.permutations((i, j, k)):
-                t[perm] = v
-        return t
-
     return AnalyticFunction(
         dim=dim,
         family="product",
@@ -416,14 +340,14 @@ def product(dim: int, label: str | None = None) -> AnalyticFunction:
         value_rule=lambda th: fold_columns(np.multiply, th),
         grad_rule=lambda th: _product_gradients(np.asarray(th, float)[None, :])[0],
         hess_rule=hess,
-        third_rule=third,
         grad_batch_rule=_product_gradients,
         third_diag_rule=_zero_diag_slice(dim),
     )
 
 
 def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction:
-    """f(theta) = theta^T A theta + b . theta, exact through third order."""
+    """f(theta) = theta^T A theta + b . theta, with exact rules (every third
+    derivative vanishes)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -441,7 +365,6 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
         + np.asarray(th, float) @ b,
         grad_rule=lambda th: sym @ np.asarray(th, float) + b,
         hess_rule=lambda th: sym.copy(),
-        third_rule=lambda th: np.zeros((d, d, d)),
         grad_batch_rule=lambda pts: pts @ sym.T + b,
         third_diag_rule=_zero_diag_slice(d),
     )
@@ -461,10 +384,11 @@ def from_rules(
     value_rule,
     grad_rule,
     hess_rule,
-    third_rule=None,
+    third_diag_rule=None,
     grad_batch_rule=None,
 ) -> AnalyticFunction:
-    """Custom function with explicit closed-form derivative rules."""
+    """Custom function with explicit closed-form derivative rules;
+    ``third_diag_rule(theta, j)`` gives the slice f_{j,i,i}."""
     return AnalyticFunction(
         dim=dim,
         family="custom",
@@ -472,6 +396,6 @@ def from_rules(
         value_rule=value_rule,
         grad_rule=grad_rule,
         hess_rule=hess_rule,
-        third_rule=third_rule,
         grad_batch_rule=grad_batch_rule,
+        third_diag_rule=third_diag_rule,
     )

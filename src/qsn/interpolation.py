@@ -7,12 +7,11 @@ two-step machinery then applies verbatim: G inherits exact first derivatives
 from the implicit-function identity (d theta/d c)(d c/d theta) = I, and
 higher derivatives by differencing the inverted map.
 
-Two usage schemes are supported. Fit-then-evaluate: recover the ansatz
-parameters from readings (``fit_ansatz``) and evaluate F wherever wanted,
-with a linearized covariance. Direct measurement: build G once
-(``induced_function``) and run the estimation protocols on it
-(``run_interpolation``). The second is where the entangled advantage lives,
-since only there is the target a fixed scalar combination of the readings.
+The module builds G once (``induced_function``) and runs the estimation
+protocols on it (``run_interpolation``). That direct measurement is where
+the entangled advantage lives, since only there is the target a fixed
+scalar combination of the readings; fitting the ansatz to readings and
+evaluating F afterwards is not offered.
 """
 
 from __future__ import annotations
@@ -158,82 +157,6 @@ class SensorLayout:
 def forward_readings(ansatz: Ansatz, params, layout: SensorLayout) -> np.ndarray:
     """Noiseless readings the layout's sensors would report."""
     return ansatz.field(params, layout.points())
-
-
-def _layout_jacobian(ansatz: Ansatz, params, layout: SensorLayout) -> np.ndarray:
-    if layout.dim < ansatz.param_dim:
-        raise ValueError(
-            f"{layout.dim} sensors cannot determine {ansatz.param_dim} parameters"
-        )
-    return ansatz.jacobian(params, layout.points())
-
-
-@dataclass(frozen=True)
-class FitResult:
-    params: tuple
-    converged: bool
-    iterations: int
-    residual_norm: float
-
-
-def fit_ansatz(ansatz: Ansatz, readings, layout: SensorLayout,
-               initial) -> FitResult:
-    """Recover ansatz parameters from sensor readings.
-
-    Newton iteration on F(c, x_i) = reading_i (Gauss-Newton when the layout
-    overdetermines the parameters), run to residual norm 1e-10 times the
-    reading scale or 50 iterations. An unusable Jacobian at the starting
-    point raises; one encountered mid-iteration ends the fit, which then
-    reports its best iterate with ``converged`` False rather than guessing
-    onward.
-    """
-    readings = as_params(readings, layout.dim)
-    c = as_params(initial, ansatz.param_dim).copy()
-    tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(readings))))
-    best_c, best_res = c.copy(), np.inf
-    converged = False
-    iterations = 0
-    for k in range(NEWTON_MAX_ITER + 1):
-        if not np.all(np.isfinite(c)):
-            break
-        rnorm = float(np.linalg.norm(ansatz.field(c, layout.points()) - readings))
-        if rnorm < best_res:
-            best_c, best_res = c.copy(), rnorm
-        if rnorm <= tol:
-            converged = True
-            break
-        if k == NEWTON_MAX_ITER:
-            break
-        jac = _layout_jacobian(ansatz, c, layout)
-        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > JACOBIAN_COND_LIMIT:
-            if k == 0:
-                raise SingularJacobianError(
-                    "ansatz Jacobian is singular at the starting point"
-                )
-            break
-        resid = ansatz.field(c, layout.points()) - readings
-        if layout.dim == ansatz.param_dim:
-            step = np.linalg.solve(jac, resid)
-        else:
-            step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        c = c - step
-        iterations = k + 1
-    return FitResult(tuple(float(x) for x in best_c), converged,
-                     iterations, best_res)
-
-
-def fit_covariance(ansatz: Ansatz, params, layout: SensorLayout,
-                   reading_variances) -> np.ndarray:
-    """Linearized covariance of the fitted parameters given reading noise."""
-    var = np.broadcast_to(np.asarray(reading_variances, dtype=float),
-                          (layout.dim,)).copy()
-    if np.any(var <= 0):
-        raise ValueError("reading variances must be positive")
-    jac = _layout_jacobian(ansatz, params, layout)
-    info = jac.T @ (jac / var[:, None])
-    if np.linalg.cond(info) > JACOBIAN_COND_LIMIT**2:
-        raise SingularJacobianError("layout leaves a parameter direction blind")
-    return np.linalg.inv(info)
 
 
 # -- the induced function G ------------------------------------------------------

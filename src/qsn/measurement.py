@@ -1,14 +1,14 @@
 """Measurement primitives: seeded random streams, per-parameter estimates,
 GHZ parity sampling for linear combinations, and photon-mode bookkeeping.
 
-Two fidelities coexist deliberately. The distribution-level samplers
-(:func:`sample_param_estimates`, :func:`lincomb_estimate`) draw straight from
-the asymptotic Gaussian laws of the underlying estimation schemes; they are
-what the protocol simulators use. The physics-level path
-(:class:`GHZSpec`, :func:`ghz_parity_shots`) samples actual +-1 parity
-outcomes of the entangled state so the asymptotic laws themselves can be
-validated, shot by shot, against the likelihood they are supposed to come
-from.
+Two fidelities coexist deliberately. The distribution-level laws
+(:func:`sample_param_estimates` for step 1, :func:`lincomb_variance` for
+the linear-combination floor) are the asymptotic Gaussian laws of the
+underlying estimation schemes; the protocol simulators draw from them. The
+physics-level path (:class:`GHZSpec`, :func:`ghz_parity_shots`) samples
+actual +-1 parity outcomes of the entangled state so the asymptotic laws
+themselves can be validated, shot by shot, against the likelihood they are
+supposed to come from.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float
     return float(info)
 
 
-# -- distribution-level linear-combination estimate ---------------------------
+# -- distribution-level linear-combination floor ------------------------------
 
 
 def lincomb_variance(weights, *, time: float | None = None, photons: float | None = None) -> float:
@@ -248,18 +248,6 @@ def lincomb_variance(weights, *, time: float | None = None, photons: float | Non
     if photons <= 0:
         raise ValueError("photon number must be positive")
     return float(np.sum(np.abs(w)) ** 2 / photons**2)
-
-
-def lincomb_estimate(weights, theta, rng, *, time: float | None = None,
-                     photons: float | None = None) -> float:
-    """One draw of the linear-combination estimator, Normal(w.theta, floor)."""
-    theta = as_params(theta)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != theta.shape:
-        raise ValueError("weights must match theta in length")
-    var = lincomb_variance(w, time=time, photons=photons)
-    gen = _generator(rng)
-    return float(w @ theta + np.sqrt(var) * gen.standard_normal())
 
 
 # -- integer apportionment -----------------------------------------------------
@@ -310,33 +298,3 @@ def count_variances(counts) -> np.ndarray:
     counts = np.asarray(counts)
     return np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
 
-
-def hybrid_phase(couplings, theta, time: float, counts) -> float:
-    """Phase of a mixed register: qubit sensors contribute theta_i * t,
-    photon modes contribute theta_i * n_i.
-
-    ``couplings`` holds 'qubit' or 'photon' per parameter; ``counts`` gives
-    the photon numbers (ignored at qubit positions). Units only align because
-    phase is dimensionless in both branches; the mix is bookkeeping, not a
-    new protocol.
-    """
-    theta = as_params(theta)
-    kinds = list(couplings)
-    if len(kinds) != theta.shape[0]:
-        raise ValueError("one coupling kind per parameter")
-    n = np.asarray(counts, dtype=float)
-    if n.shape != theta.shape:
-        raise ValueError("one count per parameter")
-    if time < 0 or not np.isfinite(time):
-        raise ValueError("time must be finite and nonnegative")
-    phase = 0.0
-    for i, kind in enumerate(kinds):
-        if kind == "qubit":
-            phase += theta[i] * time
-        elif kind == "photon":
-            if n[i] < 0 or int(n[i]) != n[i]:
-                raise ValueError(f"photon count at {i} must be a nonnegative integer")
-            phase += theta[i] * n[i]
-        else:
-            raise ValueError("coupling kinds are 'qubit' or 'photon'")
-    return float(phase)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qsn
+from qsn import experiment
 from qsn.cli import run_command
 from qsn.experiment import CSV_COLUMNS, load_records
 
@@ -114,7 +115,12 @@ def test_sweep_grid_flags_exclusive(capsys):
     assert run_command(base + ["--times", "10", "--photons", "100"]) == 2
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
+    # a usage error is found before any Monte Carlo runs
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the usage check")
+
+    monkeypatch.setattr(experiment, "estimate_mse", no_monte_carlo)
     assert run_command(
         ["bounds", "--function", "linear:3,4", "--theta", "0,0,0",
          "--time", "10"]) == 2
@@ -127,6 +133,23 @@ def test_usage_errors_exit_2(capsys):
     assert run_command(
         ["verify-fom", "--function", "product:d=2", "--sigma", "0.05",
          "--trials", "200"]) == 2
+    simulate = ["simulate", "--function", "product:d=2", "--theta", "1,1",
+                "--trials", "200"]
+    for budget, policy in ((["--time", "1e3"], "power:x"),
+                           (["--time", "1e3"], "power:1,0.7,2"),
+                           (["--time", "1e3"], "fixed:abc"),
+                           (["--photons", "1000"], "fixed:2.5"),
+                           (["--photons", "1000"], "numeric"),
+                           (["--photons", "1000"], "power:1,0.7")):
+        for command in (simulate, ["allocate", *simulate[1:5]]):
+            assert run_command([*command, *budget, "--alloc", policy]) == 2
+    sweep = ["sweep", "--function", "product:d=2", "--theta", "1,1",
+             "--trials", "200"]
+    for grid in (["--photons", "100,200.5"], ["--photons", "100.5,200"],
+                 ["--times", "100,50"], ["--times", "100,100"]):
+        assert run_command([*sweep, *grid]) == 2
+    assert run_command([*sweep, "--photons", "100,200", "--alloc",
+                        "numeric"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -275,6 +298,44 @@ def test_sweep_json_bytes_pinned(capsys, d, protocol, flag, grid, digest):
         "--seed", "11", "--threads", "1", "--format", "json",
         "--no-timestamp"])
     assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `--threads 1 --format json` stdout, recorded before the scalar
+# runners, the full third-derivative tensor and the third_rule slot were
+# deleted. interpolate takes the finite-difference third_diag_slice of the
+# induced beam function; verify-fom runs the from_rules battery targets
+PRODUCT3 = ["--function", "product:d=3", "--theta", "0.8,1.1,1.3"]
+QUADRATIC = ["--function", "quadratic:A=1,-0.75;-0.75,2,b=0.5,-1",
+             "--theta", "0.3,-0.2"]
+CLI_PINS = [
+    (["interpolate", "--params=1,0,1", "--sensors=-1.0,0.3,1.2", "--target",
+      "0.1", "--time", "1e4", "--trials", "3000", "--seed", "7"],
+     "a30eb73af1373c5b71fa01e32899bb08a8d56c0759c4a31dce4ffe665ce9e8ef"),
+    (["verify-fom", "--sigma", "0.05", "--trials", "400", "--seed", "3"],
+     "558a588921ebd6fb436dd59b4e7aa420f1d675832c6e466c111fd53e96cb9391"),
+    (["allocate", *PRODUCT3, "--time", "1e4", "--alloc", "optimal"],
+     "7c8e3d656c91cc4b7658ca49d62efe1f708b4edc6ceb56badeadddfd7dc9ee68"),
+    (["allocate", *PRODUCT3, "--time", "1e4", "--alloc", "numeric"],
+     "ac1d1a9ccab873682287cabde14ab99289910ce85f762ada1929edd75eb98f23"),
+    (["allocate", *QUADRATIC, "--time", "1e4", "--alloc", "optimal"],
+     "44cd665d4cd9b7270b849b583e237064ed5bfc2cabb3be4672ab5965667f20da"),
+    (["allocate", *QUADRATIC, "--time", "1e4", "--alloc", "numeric"],
+     "d31633a89af4b1efbc9929c9ec89a4b0d01466beafaf6fc98e9e0b2941f16545"),
+    (["allocate", "--function", "product:d=4", "--theta", "0.8,1,1.3,1.6",
+      "--photons", "5000", "--alloc", "optimal"],
+     "09f7747301565a7e229b62d7bdba57f85d4df08093c2d3ebd93e3e445580f0db"),
+    (["simulate", *PRODUCT3, "--photons", "2000", "--protocol", "unentangled",
+      "--trials", "20000", "--seed", "11", "--no-timestamp"],
+     "647a92cac2fa9159bcd4833639e71cb5f27f11c044505ac0c1ff6e683ad56ea1"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLI_PINS,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(CLI_PINS)])
+def test_cli_json_bytes_pinned(capsys, argv, digest):
+    assert run_command([*argv, "--threads", "1", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

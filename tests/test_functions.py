@@ -6,19 +6,20 @@ from qsn import functions as fns
 
 def test_product_derivatives_at_ones():
     f = fns.product(2)
-    d = f.eval_all([1.0, 1.0], order=3)
-    assert d.value == 1.0
-    np.testing.assert_allclose(d.gradient, [1.0, 1.0])
-    np.testing.assert_allclose(d.hessian, [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(d.third, np.zeros((2, 2, 2)))
+    th = [1.0, 1.0]
+    assert f.value(th) == 1.0
+    np.testing.assert_allclose(f.gradient(th), [1.0, 1.0])
+    np.testing.assert_allclose(f.hessian(th), [[0.0, 1.0], [1.0, 0.0]])
+    for j in range(2):
+        np.testing.assert_allclose(f.third_diag_slice(th, j), np.zeros(2))
 
 
 def test_linear_derivatives():
     f = fns.linear([3.0, 4.0])
-    d = f.eval_all([0.2, -1.7], order=2)
-    np.testing.assert_allclose(d.gradient, [3.0, 4.0])
-    np.testing.assert_allclose(d.hessian, np.zeros((2, 2)))
-    assert d.value == pytest.approx(3 * 0.2 - 4 * 1.7)
+    th = [0.2, -1.7]
+    np.testing.assert_allclose(f.gradient(th), [3.0, 4.0])
+    np.testing.assert_allclose(f.hessian(th), np.zeros((2, 2)))
+    assert f.value(th) == pytest.approx(3 * 0.2 - 4 * 1.7)
 
 
 def test_quadratic_value_gradient_hessian():
@@ -58,35 +59,58 @@ def test_builtin_families_match_finite_differences_random_points():
             )
 
 
-def test_third_tensor_symmetry_and_slice():
-    rng = np.random.default_rng(5)
-    f = fns.product(4)
-    th = rng.uniform(0.5, 1.5, size=4)
-    t = f.third_tensor(th)
-    for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
-        np.testing.assert_allclose(t, np.transpose(t, perm))
-    sl = f.third_diag_slice(th, 2)
-    np.testing.assert_allclose(sl, [t[2, i, i] for i in range(4)])
+def cubic3(value_only: bool) -> fns.AnalyticFunction:
+    """theta_0^2 theta_1 + theta_1^3 + theta_0 theta_1 theta_2, whose slices
+    f_{j,i,i} are (0, 0, 0), (2, 6, 0) and (0, 0, 0)."""
+    def value(th):
+        th = np.asarray(th, float)
+        x, y, z = th[..., 0], th[..., 1], th[..., 2]
+        return x * x * y + y**3 + x * y * z
+
+    if value_only:
+        return fns.composite(value, 3, label="cubic3")
+    return fns.from_rules(
+        3, "cubic3", value,
+        grad_rule=lambda th: np.array([2 * th[0] * th[1] + th[1] * th[2],
+                                       th[0] ** 2 + 3 * th[1] ** 2 + th[0] * th[2],
+                                       th[0] * th[1]]),
+        hess_rule=lambda th: np.array([[2 * th[1], 2 * th[0] + th[2], th[1]],
+                                       [2 * th[0] + th[2], 6 * th[1], th[0]],
+                                       [th[1], th[0], 0.0]]))
 
 
 def test_composite_fd_third_matches_exact_of_product():
+    # the finite-difference slice differences an exact gradient to about
+    # 1e-7; a bare value rule loses about eps / h^3, near 1e-3 here
     f_exact = fns.product(3)
     f_fd = fns.composite(f_exact.value_rule, 3, label="probe")
     th = [0.9, 1.1, -0.7]
-    np.testing.assert_allclose(
-        f_fd.third_tensor(th), f_exact.third_tensor(th), atol=2e-5
-    )
+    want = {"product": [np.zeros(3)] * 3,
+            "cubic3": [np.zeros(3), np.array([2.0, 6.0, 0.0]), np.zeros(3)]}
+    for j in range(3):
+        np.testing.assert_allclose(f_fd.third_diag_slice(th, j),
+                                   f_exact.third_diag_slice(th, j), atol=1e-2)
+        np.testing.assert_allclose(f_exact.third_diag_slice(th, j),
+                                   want["product"][j])
+        np.testing.assert_allclose(cubic3(False).third_diag_slice(th, j),
+                                   want["cubic3"][j], atol=1e-6)
+        np.testing.assert_allclose(cubic3(True).third_diag_slice(th, j),
+                                   want["cubic3"][j], atol=1e-2)
     assert not f_fd.derivatives_exact
     assert f_exact.derivatives_exact
 
 
-def test_full_tensor_dimension_guard():
-    w = np.ones(17)
-    f = fns.linear(w)
-    with pytest.raises(ValueError, match="third tensor"):
-        f.third_tensor(np.zeros(17))
-    # the slice stays available in any dimension
-    np.testing.assert_allclose(f.third_diag_slice(np.zeros(17), 3), np.zeros(17))
+def test_fd_third_diag_slice_evaluates_the_base_gradient_once():
+    # 2d + 1 gradient evaluations: one at theta, two per shifted coordinate
+    calls = []
+    base = cubic3(False)
+    f = fns.from_rules(3, "counted", base.value_rule,
+                       lambda th: calls.append(1) or base.grad_rule(th),
+                       base.hess_rule)
+    th = [0.9, 1.1, -0.7]
+    sl = f.third_diag_slice(th, 1)
+    assert len(calls) == 2 * 3 + 1
+    assert np.array_equal(sl, base.third_diag_slice(th, 1))
 
 
 def test_as_params_validation():
@@ -146,12 +170,15 @@ def test_from_rules_roundtrip():
         value_rule=lambda th: np.asarray(th, float)[..., 0] ** 3,
         grad_rule=lambda th: np.array([3.0 * th[0] ** 2]),
         hess_rule=lambda th: np.array([[6.0 * th[0]]]),
-        third_rule=lambda th: np.full((1, 1, 1), 6.0),
+        third_diag_rule=lambda th, j: np.array([6.0]),
     )
     assert f.family == "custom"
     assert fns.finite_diff_validate(f, [0.7], 1) < 1e-9
     assert fns.finite_diff_validate(f, [0.7], 2) < 1e-6
-    assert fns.finite_diff_validate(f, [0.7], 3) < 1e-4
+    assert np.array_equal(f.third_diag_slice([0.7], 0), [6.0])
+    # the rule agrees with differencing the exact gradient
+    fd = fns.from_rules(1, "cubic", f.value_rule, f.grad_rule, f.hess_rule)
+    np.testing.assert_allclose(fd.third_diag_slice([0.7], 0), [6.0], atol=1e-6)
 
 
 def test_hessian_symmetrized_even_for_unsymmetric_rule():
@@ -220,8 +247,11 @@ def test_product_hessian_and_third_rules_bit_equal_to_loops(d):
               np.zeros(d), -np.ones(d)]
     for th in points:
         assert np.array_equal(f.hess_rule(th), loop_product_hessian(th))
-        assert np.array_equal(f.third_rule(th), loop_product_third(th))
         assert np.array_equal(f.hessian(th), loop_product_hessian(th))
+        third = loop_product_third(th)
+        for j in range(d):
+            assert np.array_equal(f.third_diag_slice(th, j),
+                                  np.diagonal(third[j]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 17, 33])
@@ -245,5 +275,3 @@ def test_product_diag_slice_needs_no_full_tensor():
     for j in (0, 31, 63):
         sl = f.third_diag_slice(th, j)
         assert sl.shape == (64,) and np.array_equal(sl, np.zeros(64))
-    with pytest.raises(ValueError, match="third tensor"):
-        f.third_tensor(th)

@@ -79,70 +79,50 @@ def test_ansatz_jacobian_shape_guard():
         bad.jacobian((2.0,), [0.1, 0.2])
 
 
+def invert(readings, layout, start):
+    """The sensor-map inversion the induced function runs, for one row."""
+    return ip._batch_newton(BEAM, layout, np.asarray(readings)[None, :],
+                            np.asarray(start, dtype=float))[0]
+
+
 def test_fit_noiseless_round_trip():
-    fit = ip.fit_ansatz(BEAM, READINGS, LAYOUT, (0.9, 0.1, 1.1))
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, TRUE, rtol=0, atol=1e-9)
-    again = ip.forward_readings(BEAM, np.array(fit.params), LAYOUT)
+    params = invert(READINGS, LAYOUT, (0.9, 0.1, 1.1))
+    np.testing.assert_allclose(params, TRUE, rtol=0, atol=1e-9)
+    again = ip.forward_readings(BEAM, params, LAYOUT)
     np.testing.assert_allclose(again, READINGS, rtol=0, atol=1e-9)
-
-
-def test_fit_overdetermined_layout():
-    layout = ip.SensorLayout((-1.0, 0.0, 0.3, 1.2), 0.1)
-    readings = ip.forward_readings(BEAM, TRUE, layout)
-    fit = ip.fit_ansatz(BEAM, readings, layout, (0.9, 0.1, 1.1))
-    assert fit.converged
-    np.testing.assert_allclose(fit.params, TRUE, rtol=0, atol=1e-9)
 
 
 def test_fit_perturbed_readings_match_linearization():
     rng = np.random.default_rng(5)
     delta = 1e-3 * rng.standard_normal(3)
-    fit = ip.fit_ansatz(BEAM, READINGS + delta, LAYOUT, (0.9, 0.1, 1.1))
-    assert fit.converged
+    params = invert(READINGS + delta, LAYOUT, (0.9, 0.1, 1.1))
     jac = BEAM.jacobian(TRUE, LAYOUT.points())
     linear = np.linalg.solve(jac, delta)
-    err = np.array(fit.params) - TRUE
+    err = params - TRUE
     assert np.linalg.norm(err - linear) < 0.02 * np.linalg.norm(linear)
 
 
 def test_fit_far_starts_never_answer_silently():
     # amplitude sits linearly in the model, so even a 10x amplitude start
-    # converges; genuinely lost starts either flag or raise
-    fit = ip.fit_ansatz(BEAM, READINGS, LAYOUT, (10.0, 0.1, 1.1))
-    assert fit.converged
-    wide = ip.fit_ansatz(BEAM, READINGS, LAYOUT, (1.0, 0.0, 8.0))
-    assert not wide.converged
-    assert wide.residual_norm > 1e-6  # best iterate reported, not a root
-    with pytest.raises(ip.SingularJacobianError, match="starting point"):
-        ip.fit_ansatz(BEAM, READINGS, LAYOUT, (10.0, 3.0, 0.2))
-    with pytest.raises(ip.SingularJacobianError):
-        ip.fit_ansatz(BEAM, READINGS, LAYOUT, (0.0, 0.1, 1.0))
+    # converges; genuinely lost starts raise instead of returning a non-root
+    params = invert(READINGS, LAYOUT, (10.0, 0.1, 1.1))
+    np.testing.assert_allclose(params, TRUE, rtol=0, atol=1e-9)
+    for start in ((1.0, 0.0, 8.0), (10.0, 3.0, 0.2), (0.0, 0.1, 1.0)):
+        with pytest.raises(ip.SingularJacobianError):
+            invert(READINGS, LAYOUT, start)
 
 
 def test_fit_underdetermined_layout_rejected():
-    layout = ip.SensorLayout((-1.0, 0.3), 0.1)
-    with pytest.raises(ValueError, match="cannot determine"):
-        ip.fit_ansatz(BEAM, (0.1, 0.8), layout, (1.0, 0.0, 1.0))
-
-
-def test_fit_covariance_square_identity():
-    var = np.array([1e-6, 4e-6, 9e-6])
-    cov = ip.fit_covariance(BEAM, TRUE, LAYOUT, var)
-    jac = BEAM.jacobian(TRUE, LAYOUT.points())
-    inv = np.linalg.inv(jac)
-    np.testing.assert_allclose(cov, inv @ np.diag(var) @ inv.T, rtol=1e-9)
-    with pytest.raises(ValueError, match="positive"):
-        ip.fit_covariance(BEAM, TRUE, LAYOUT, 0.0)
-    with pytest.raises(ip.SingularJacobianError):
-        ip.fit_covariance(BEAM, (0.0, 0.0, 1.0), LAYOUT, 1e-6)
+    # only a square layout makes the reading map invertible
+    for locations in ((-1.0, 0.3), (-1.0, 0.0, 0.3, 1.2)):
+        with pytest.raises(ValueError, match="square"):
+            ip.induced_function(BEAM, ip.SensorLayout(locations, 0.1), TRUE)
 
 
 def test_random_layout_round_trips():
     for layout, true, readings, jac, start in random_layout_cases(7, 100):
-        fit = ip.fit_ansatz(BEAM, readings, layout, start)
-        assert fit.converged, (layout.locations, true)
-        again = ip.forward_readings(BEAM, np.array(fit.params), layout)
+        params = invert(readings, layout, start)
+        again = ip.forward_readings(BEAM, params, layout)
         np.testing.assert_allclose(again, readings, rtol=0, atol=1e-9)
         resid = jac @ np.linalg.inv(jac) - np.eye(3)
         assert np.abs(resid).max() < 1e-9
@@ -177,8 +157,6 @@ def test_induced_function_batch_matches_scalar():
 
 
 def test_induced_function_validation():
-    with pytest.raises(ValueError, match="square"):
-        ip.induced_function(BEAM, ip.SensorLayout((-1.0, 0.3), 0.1), TRUE)
     with pytest.raises(ip.SingularJacobianError, match="anchor"):
         ip.induced_function(BEAM, LAYOUT, (0.0, 0.0, 1.0))
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qsn import measurement as ms
+from qsn.allocation import fixed_time_split
+from qsn.functions import linear
+from qsn.protocol import run_two_step_batch
 
 
 def test_rng_stream_determinism():
@@ -155,23 +158,23 @@ def test_lincomb_variance_examples():
 
 
 def test_lincomb_estimate_statistics():
-    # sample variance over 1e6 draws within 1% of the floor, mean unbiased
+    # the two-step runner's linear-combination draw: a linear target under a
+    # step-1-free plan is estimated by the combination alone, so over 1e6
+    # draws the sample variance sits within 1% of the floor, mean unbiased
     n = 10**6
-    gen = ms.RngStream(19).generator()
+    f = linear([3.0, 4.0])
     theta = np.array([0.2, -0.5])
-    draws = np.array([
-        ms.lincomb_estimate([3.0, 4.0], theta, gen, time=10.0) for _ in range(2000)
-    ])
-    # the scalar API is exercised above; the 1e6-draw check uses the same law
+    draws = run_two_step_batch(f, theta, fixed_time_split(10.0, 0.0),
+                               ms.RngStream(19), n)
     q = 3.0 * 0.2 + 4.0 * (-0.5)
-    sd = np.sqrt(ms.lincomb_variance([3.0, 4.0], time=10.0))
-    big = q + sd * ms.RngStream(19, 1).generator().standard_normal(n)
-    assert abs(np.var(big) - sd * sd) < 0.01 * sd * sd
-    assert abs(draws.mean() - q) < 5 * sd / np.sqrt(draws.size)
+    var = ms.lincomb_variance([3.0, 4.0], time=10.0)
+    assert abs(np.var(draws) - var) < 0.01 * var
+    assert abs(draws.mean() - q) < 5 * np.sqrt(var / n)
 
     # consistency: enormous budget collapses the draw onto the target
-    tight = ms.lincomb_estimate([3.0, 4.0], theta, ms.RngStream(2), time=1e9)
-    assert tight == pytest.approx(q, abs=1e-7)
+    tight = run_two_step_batch(f, theta, fixed_time_split(1e9, 0.0),
+                               ms.RngStream(2), 1)
+    assert tight[0] == pytest.approx(q, abs=1e-7)
 
 
 def test_largest_remainder_examples():
@@ -234,15 +237,3 @@ def test_largest_remainder_rows_match_vector_calls():
     with pytest.raises(ValueError):
         ms.largest_remainder(np.ones((2, 0)), 3)
 
-
-def test_hybrid_phase():
-    assert ms.hybrid_phase(["qubit", "photon"], [0.5, 0.3], 2.0, [0, 5]) == pytest.approx(2.5)
-    th = [0.1, 0.2, 0.3]
-    assert ms.hybrid_phase(["qubit"] * 3, th, 2.0, [0, 0, 0]) == pytest.approx(2.0 * sum(th))
-    assert ms.hybrid_phase(["photon", "photon"], [1.0, 1.0], 0.0, [0, 0]) == 0.0
-    with pytest.raises(ValueError):
-        ms.hybrid_phase(["qubit"], [1.0], 2.0, [0, 0])
-    with pytest.raises(ValueError):
-        ms.hybrid_phase(["laser"], [1.0], 2.0, [0])
-    with pytest.raises(ValueError):
-        ms.hybrid_phase(["photon"], [1.0], 2.0, [2.5])
