@@ -16,6 +16,7 @@ evaluating F afterwards is not offered.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -85,15 +86,27 @@ class Ansatz:
 
     def field_batch(self, param_block: np.ndarray, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.field_batch_rule is not None:
-            return np.asarray(self.field_batch_rule(param_block, x), dtype=float)
-        return np.stack([self.field(c, x) for c in param_block])
+        if self.field_batch_rule is None:
+            return np.stack([self.field(c, x) for c in param_block])
+        out = self._checked("field_batch_rule", param_block, x, (x.size,))
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError(f"non-finite field value of {self.label}")
+        return out
 
     def jacobian_batch(self, param_block: np.ndarray, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.jacobian_batch_rule is not None:
-            return np.asarray(self.jacobian_batch_rule(param_block, x), dtype=float)
-        return np.stack([self.jacobian(c, x) for c in param_block])
+        if self.jacobian_batch_rule is None:
+            return np.stack([self.jacobian(c, x) for c in param_block])
+        return self._checked("jacobian_batch_rule", param_block, x,
+                             (x.size, self.param_dim))
+
+    def _checked(self, rule: str, param_block, x, row_shape) -> np.ndarray:
+        out = np.asarray(getattr(self, rule)(param_block, x), dtype=float)
+        expected = (len(param_block), *row_shape)
+        if out.shape != expected:
+            raise ValueError(f"{rule} of {self.label} returned shape "
+                             f"{out.shape}, expected {expected}")
+        return out
 
 
 def gaussian_beam() -> Ansatz:
@@ -167,17 +180,23 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
     """Invert the square sensor map for a block of reading rows.
 
     Every row starts from the same anchor, so the inversion is a pure
-    function of the readings. Converged rows take harmless near-zero steps
-    while the rest finish; rows that never converge are an error, not a NaN.
+    function of the readings, and the first iterate's field and Jacobian are
+    evaluated once, at the anchor, then broadcast; each row still gets its
+    own LAPACK solve, so the bits match a row-by-row start. Converged rows
+    take harmless near-zero steps while the rest finish; non-finite readings
+    and rows that never converge are an error, not a NaN.
     """
-    n = readings.shape[0]
-    c = np.broadcast_to(start, (n, ansatz.param_dim)).copy()
+    if not np.all(np.isfinite(readings)):
+        # an infinite reading would make the tolerance infinite and pass
+        # every row at the anchor
+        raise EvaluationError("non-finite sensor reading")
+    c = start[None, :]
     locs = layout.points()
     tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(readings))))
     for _ in range(NEWTON_MAX_ITER):
         resid = ansatz.field_batch(c, locs) - readings
         if float(np.max(np.abs(resid))) <= tol:
-            return c
+            return np.broadcast_to(c, readings.shape).copy()
         jac = ansatz.jacobian_batch(c, locs)
         try:
             steps = np.linalg.solve(jac, resid[:, :, None])[:, :, 0]
@@ -185,7 +204,7 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
             raise SingularJacobianError(
                 "singular Jacobian while inverting the sensor map"
             ) from exc
-        c -= steps
+        c = c - steps
         if not np.all(np.isfinite(c)):
             raise EvaluationError("sensor-map inversion diverged")
     resid = ansatz.field_batch(c, locs) - readings
@@ -201,6 +220,12 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
     reading map is locally invertible; ``anchor`` fixes the branch the
     Newton solves converge to. The gradient is exact, from solving
     J^T grad G = dF*/dc; higher derivatives fall back to differencing it.
+
+    Each reading block is inverted once: values and gradients share a
+    one-entry memo per thread, keyed by the block's shape and bytes, so the
+    ``gradients`` then ``values`` calls a two-step chunk makes on its step-1
+    draws run one Newton inversion. The memo keeps its own copy of the
+    block, so a block changed in place is inverted afresh.
     """
     if layout.dim != ansatz.param_dim:
         raise ValueError(
@@ -216,17 +241,27 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         )
     target = np.array([layout.target])
     locs = layout.points()
+    memo = threading.local()
+
+    def invert(points):
+        key = (points.shape, points.tobytes())
+        last = getattr(memo, "last", None)
+        if last is not None and last[0] == key:
+            return last[1]
+        params = _batch_newton(ansatz, layout, points, anchor)
+        params.flags.writeable = False
+        memo.last = (key, params)
+        return params
 
     def value_rule(theta):
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
-        pts = theta[None, :] if single else theta
-        c = _batch_newton(ansatz, layout, pts, anchor)
+        c = invert(theta[None, :] if single else theta)
         vals = ansatz.field_batch(c, target)[:, 0]
         return vals[0] if single else vals
 
     def grad_batch_rule(points):
-        c = _batch_newton(ansatz, layout, points, anchor)
+        c = invert(points)
         jac = ansatz.jacobian_batch(c, locs)
         gf = ansatz.jacobian_batch(c, target)[:, 0, :]
         return np.linalg.solve(np.transpose(jac, (0, 2, 1)), gf[:, :, None])[:, :, 0]

@@ -80,24 +80,45 @@ def cubic3(value_only: bool) -> fns.AnalyticFunction:
 
 
 def test_composite_fd_third_matches_exact_of_product():
-    # the finite-difference slice differences an exact gradient to about
-    # 1e-7; a bare value rule loses about eps / h^3, near 1e-3 here
+    # differencing an exact gradient gives the slice to about 1e-7; a bare
+    # value rule gets a value stencil, about 1e-7 to 1e-6 here
     f_exact = fns.product(3)
     f_fd = fns.composite(f_exact.value_rule, 3, label="probe")
+    sin_sum = fns.composite(lambda th: np.sin(np.asarray(th, float)).sum(axis=-1),
+                            3, label="sin-sum")
     th = [0.9, 1.1, -0.7]
     want = {"product": [np.zeros(3)] * 3,
             "cubic3": [np.zeros(3), np.array([2.0, 6.0, 0.0]), np.zeros(3)]}
     for j in range(3):
         np.testing.assert_allclose(f_fd.third_diag_slice(th, j),
-                                   f_exact.third_diag_slice(th, j), atol=1e-2)
+                                   f_exact.third_diag_slice(th, j), atol=1e-5)
         np.testing.assert_allclose(f_exact.third_diag_slice(th, j),
                                    want["product"][j])
         np.testing.assert_allclose(cubic3(False).third_diag_slice(th, j),
                                    want["cubic3"][j], atol=1e-6)
         np.testing.assert_allclose(cubic3(True).third_diag_slice(th, j),
-                                   want["cubic3"][j], atol=1e-2)
+                                   want["cubic3"][j], atol=1e-5)
+        # f_{j,i,i} = -cos(theta_j) delta_ij
+        np.testing.assert_allclose(sin_sum.third_diag_slice(th, j),
+                                   -np.cos(th[j]) * np.eye(3)[j], atol=1e-5)
     assert not f_fd.derivatives_exact
     assert f_exact.derivatives_exact
+
+
+def test_value_only_third_slice_is_one_batched_call():
+    calls = []
+
+    def value(th):
+        th = np.asarray(th, float)
+        calls.append(th.shape)
+        return np.sin(th).sum(axis=-1)
+
+    f = fns.composite(value, 3)
+    f.third_diag_slice([0.9, 1.1, -0.7], 2)
+    assert calls == [(4 * 3 + 2, 3)]
+    bad = fns.composite(lambda th: np.log(np.asarray(th, float)).sum(axis=-1), 2)
+    with np.errstate(invalid="ignore"), pytest.raises(fns.EvaluationError):
+        bad.third_diag_slice([1e-4, 1.0], 0)
 
 
 def test_fd_third_diag_slice_evaluates_the_base_gradient_once():

@@ -1,7 +1,11 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qsn import bounds, functions as fns, interpolation as ip
+from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse
 from qsn.protocol import ResourceBudget
 
 BEAM = ip.gaussian_beam()
@@ -77,6 +81,30 @@ def test_ansatz_jacobian_shape_guard():
                     jacobian_rule=lambda c, x: x)
     with pytest.raises(ValueError, match="shape"):
         bad.jacobian((2.0,), [0.1, 0.2])
+
+
+def test_batch_rules_report_their_own_faults():
+    block = READINGS + np.zeros((4, 3))
+    # a Jacobian rule of the wrong shape is named, not taken for a singular
+    # Jacobian
+    thin = replace(BEAM, label="broken", jacobian_batch_rule=lambda cs, x:
+                   BEAM.jacobian_batch_rule(cs, x)[:, :, :2])
+    with pytest.raises(ValueError,
+                       match=r"jacobian_batch_rule of broken returned shape "
+                             r"\(1, 3, 2\), expected \(1, 3, 3\)") as info:
+        ip.induced_function(thin, LAYOUT, TRUE).values(block + 1e-3)
+    assert not isinstance(info.value, ip.SingularJacobianError)
+    wide = replace(BEAM, label="broken", field_batch_rule=lambda cs, x:
+                   BEAM.field_batch_rule(cs, np.append(x, 0.0)))
+    with pytest.raises(ValueError, match=r"field_batch_rule of broken .*"
+                                         r"expected \(1, 3\)"):
+        ip.induced_function(wide, LAYOUT, TRUE).values(block)
+    # a NaN field is reported as such, not as a diverged inversion
+    nan = replace(BEAM, label="broken", field_batch_rule=lambda cs, x:
+                  np.full((len(cs), x.size), np.nan))
+    with pytest.raises(fns.EvaluationError,
+                       match="non-finite field value of broken"):
+        ip.induced_function(nan, LAYOUT, TRUE).values(block)
 
 
 def invert(readings, layout, start):
@@ -236,3 +264,47 @@ def test_run_interpolation_resolves_its_plan_once(monkeypatch):
         -0.00031952300447501205, 5.157993578892548e-06,
         1.6626097860277856e-07, 6.807385139361266e-06,
         3.764258308109984e-06)
+
+
+def test_run_interpolation_thread_count_keeps_every_bit():
+    # three chunks on up to three workers, switching often: each worker
+    # must see only its own inversions
+    budget = ResourceBudget("qubit-time", 1e4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = [repr(ip.run_interpolation(BEAM, TRUE, LAYOUT, budget,
+                                             trials=2 * CHUNK + 1, seed=5,
+                                             threads=t))
+                   for t in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_two_step_chunk_inverts_its_draws_once(monkeypatch):
+    rows = []
+    newton = ip._batch_newton
+    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
+                        rows.append(len(readings)) or
+                        newton(ansatz, layout, readings, start))
+    fn = ip.induced_function(BEAM, LAYOUT, TRUE)
+    cfg = ExperimentConfig(fn, tuple(READINGS), ResourceBudget("qubit-time", 1e4))
+    estimate_mse(cfg, 2 * CHUNK + 100, master_seed=1, threads=2)
+    # one inversion per chunk, shared by its gradients and values calls on
+    # whichever thread runs the chunk
+    assert sorted(n for n in rows if n > 1) == [100, CHUNK, CHUNK]
+
+
+def test_block_changed_in_place_is_inverted_afresh():
+    rng = np.random.default_rng(2)
+    block = READINGS + 1e-3 * rng.standard_normal((16, 3))
+    fn = ip.induced_function(BEAM, LAYOUT, TRUE)
+    grads = fn.gradients(block)
+    fresh = ip.induced_function(BEAM, LAYOUT, TRUE)
+    assert np.array_equal(fn.values(block), fresh.values(block))
+    assert np.array_equal(grads, fresh.gradients(block))
+    block[3, 1] += 2e-3
+    fresh = ip.induced_function(BEAM, LAYOUT, TRUE)
+    assert np.array_equal(fn.values(block), fresh.values(block))
+    assert np.array_equal(fn.gradients(block), fresh.gradients(block))
