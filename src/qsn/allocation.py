@@ -60,6 +60,12 @@ class AllocationPlan:
         else:
             raise ValueError("kind must be 'qubit-time' or 'photon-number'")
 
+    @property
+    def step1_free(self) -> bool:
+        """True for a time plan with t1 = 0, which runs no step 1 and
+        evaluates the gradient at ``protocol.prior_point``."""
+        return self.kind == "qubit-time" and self.t1 == 0.0
+
 
 def golden_section_min(fn, lo: float, hi: float, rel_tol: float = GOLDEN_TOL,
                        max_iter: int = 500) -> tuple[float, float]:
@@ -249,17 +255,19 @@ def photon_step1_partition(fn: AnalyticFunction, theta, n1: int) -> PartitionRes
     if n1 < fn.dim:
         raise ValueError(f"need at least one photon per mode (n1 >= {fn.dim})")
     coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-    uniform = bool(np.all(coeffs == 0.0))
-    w = continuous_pairwise_partition(coeffs)
+    return _round_partition(coeffs, continuous_pairwise_partition(coeffs), n1)
+
+
+def _round_partition(coeffs: np.ndarray, w: np.ndarray, n1: int) -> PartitionResult:
     counts = largest_remainder(w, n1)
-    for i in range(fn.dim):
+    for i in range(len(w)):
         if counts[i] == 0:
             counts[int(np.argmax(counts))] -= 1
             counts[i] = 1
     return PartitionResult(
         counts=tuple(int(x) for x in counts),
         fractions=tuple(float(x) for x in w),
-        uniform_fallback=uniform,
+        uniform_fallback=bool(np.all(coeffs == 0.0)),
     )
 
 
@@ -268,7 +276,9 @@ def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> Allocatio
 
     Effective coefficients: g2_eff = |grad f|_1^2 (step-2 variance scale),
     g1_eff = sum_ij C_ij/(w_i^2 w_j^2) at the optimal step-1 fractions w.
-    Then n1 = round((2 g1_eff/g2_eff)^{1/5} N^{3/5}), clamped to [d, N/2].
+    Then n1 = round((2 g1_eff/g2_eff)^{1/5} N^{3/5}), clamped to [d, N/2];
+    a zero curvature matrix (any linear target) gives n1 = d. The Hessian and
+    the fractions w are computed once and serve n1 and the mode counts alike.
     This mirrors the time-budget derivation; it is validated against the
     numeric minimizer in the tests rather than taken from a closed-form
     source.
@@ -281,19 +291,16 @@ def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> Allocatio
     g2_eff = float(np.sum(np.abs(g)) ** 2)
     if g2_eff == 0.0:
         raise bounds.DegenerateGradientError("zero gradient: nothing to measure")
-    if fn.family == "linear":
+    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
+    w = continuous_pairwise_partition(coeffs)
+    if np.all(coeffs == 0.0):
         n1 = fn.dim
     else:
-        coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-        if np.all(coeffs == 0.0):
-            n1 = fn.dim
-        else:
-            w = continuous_pairwise_partition(coeffs)
-            g1_eff = bounds.photon_residual_coefficient(fn, theta, w)
-            raw = (2.0 * g1_eff / g2_eff) ** 0.2 * n_total**0.6
-            n1 = int(round(raw))
-            n1 = min(max(n1, fn.dim), n_total // 2)
-    part = photon_step1_partition(fn, theta, n1)
+        g1_eff = bounds.photon_residual_coefficient(coeffs, w)
+        raw = (2.0 * g1_eff / g2_eff) ** 0.2 * n_total**0.6
+        n1 = int(round(raw))
+        n1 = min(max(n1, fn.dim), n_total // 2)
+    part = _round_partition(coeffs, w, n1)
     return AllocationPlan(kind="photon-number", policy="optimal",
                           total=float(n_total), n1=n1, n2=n_total - n1,
                           mode_counts=part.counts)

@@ -174,10 +174,11 @@ def hessian_quartic_coeffs(fn: AnalyticFunction, theta) -> np.ndarray:
     MSE for first-step variances s_i^2; the diagonal reproduces the Gaussian
     fourth moment (C_ii s_i^4 = 3 f_ii^2 s_i^4 / 4).
     """
-    return _quartic_coeffs(fn.hessian(as_params(theta, fn.dim)))
+    return quartic_coeffs(fn.hessian(as_params(theta, fn.dim)))
 
 
-def _quartic_coeffs(h: np.ndarray) -> np.ndarray:
+def quartic_coeffs(h: np.ndarray) -> np.ndarray:
+    """The matrix of ``hessian_quartic_coeffs`` from a Hessian in hand."""
     return (2.0 * h * h + np.outer(np.diag(h), np.diag(h))) / 4.0
 
 
@@ -220,21 +221,21 @@ def time_mse_coefficients(fn: AnalyticFunction, theta) -> TwoStepCoefficients:
         g[j_star] * np.sum(fn.third_diag_slice(theta, j_star))
         + np.sum(h[j_star] ** 2)
     )
-    g1 = float(_quartic_coeffs(h).sum())
+    g1 = float(quartic_coeffs(h).sum())
     return TwoStepCoefficients(
         g1=g1, g2=g2, g3=g3, argmax_index=j_star, degenerate=degenerate
     )
 
 
-def photon_residual_coefficient(fn: AnalyticFunction, theta, fractions) -> float:
-    """Curvature coefficient sum_ij C_ij / (w_i^2 w_j^2) for a photon step-1
+def photon_residual_coefficient(coeffs: np.ndarray, fractions) -> float:
+    """Curvature coefficient sum_ij C_ij / (w_i^2 w_j^2) of the quartic
+    coefficients ``coeffs`` (``hessian_quartic_coeffs``) for a photon step-1
     split with mode fractions w (sum w = 1); dividing by N1^4 gives the
     second-order MSE term."""
     w = np.asarray(fractions, dtype=float)
-    if w.shape != (fn.dim,):
-        raise ValueError(f"need {fn.dim} fractions")
+    if w.shape != (coeffs.shape[0],):
+        raise ValueError(f"need {coeffs.shape[0]} fractions")
     if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("fractions must be positive and sum to 1")
-    coeffs = hessian_quartic_coeffs(fn, theta)
     inv = 1.0 / (w * w)
     return float(inv @ coeffs @ inv)

@@ -5,12 +5,15 @@ Subcommands mirror the library surface: ``bounds`` (analytic limits),
 ``allocate`` (resource splits), ``verify-fom`` (expansion check), and
 ``interpolate`` (field estimation at an unsensed point).
 
-Conventions. Output is CSV on stdout unless ``--out``/``--format json`` say
-otherwise; JSON output carries a metadata header (tool version, command
-line, seed) so artifacts are self-describing. Exit codes: 0 success, 1
-runtime failure, 2 usage error. Given the same argv and seed the bytes
-written are identical, except the wall-clock column, which ``--no-timestamp``
-pins to zero.
+Conventions. Every subcommand builds a list of row dicts, and one writer
+serializes them: CSV on stdout unless ``--out``/``--format json`` say
+otherwise, headed by the first row's keys; JSON carries a metadata header
+(tool version, modeling assumptions, command line, seed) so artifacts are
+self-describing. ``simulate`` and ``sweep`` rows are sweep records under the
+JSON key ``records``, which ``experiment.load_records`` reads back exactly.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. Given the same argv
+and seed the bytes written are identical, except the wall-clock column,
+which ``--no-timestamp`` pins to zero.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__, allocation, bounds, functions
 from .experiment import (ExperimentConfig, base_metadata, check_grid,
-                         fom_battery, records_csv_text, records_json_text,
-                         sweep_resource, verify_general_fom)
+                         fom_battery, sweep_resource, verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
 from .protocol import ResourceBudget, build_plan, parse_policy
 
@@ -138,23 +140,22 @@ def _check_theta(fn, theta) -> tuple:
     return tuple(theta)
 
 
-def _emit_rows(args, columns, rows, seed=None) -> None:
-    """Write generic result rows as CSV (default) or JSON with metadata."""
-    fmt = _resolve_format(args)
-    if fmt == "csv":
+def _emit_rows(args, rows, seed=None, key="rows") -> None:
+    """Write result rows as CSV (default), headed by the first row's keys,
+    or as JSON with a metadata header and the rows under ``key``."""
+    if _resolve_format(args) == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+            writer.writerow([_cell(v) for v in row.values()])
         text = buf.getvalue()
     else:
         meta = base_metadata()
         meta["command"] = " ".join(args.argv)
         if seed is not None:
             meta["seed"] = seed
-        text = json.dumps({"metadata": meta, "rows": list(rows)},
-                          indent=1) + "\n"
+        text = json.dumps({"metadata": meta, key: rows}, indent=1) + "\n"
     _write_out(args, text)
 
 
@@ -188,11 +189,7 @@ def _write_out(args, text: str) -> None:
 def _emit_records(args, records, seed: int) -> None:
     if getattr(args, "no_timestamp", False):
         records = [replace(r, ms_elapsed=0.0) for r in records]
-    fmt = _resolve_format(args)
-    meta = {"command": " ".join(args.argv), "seed": seed}
-    text = (records_csv_text(records) if fmt == "csv"
-            else records_json_text(records, meta))
-    _write_out(args, text)
+    _emit_rows(args, [asdict(r) for r in records], seed, key="records")
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -202,10 +199,7 @@ def _cmd_bounds(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
     rep = bounds.for_budget(fn, theta, _budget_from(args))
-    _emit_rows(args, (
-        "function", "theta", "resource_kind", "resource", "entangled_bound",
-        "unentangled_baseline", "advantage_ratio", "conjectured",
-    ), [{
+    _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,
         "resource_kind": rep.resource_kind,
@@ -268,10 +262,7 @@ def _cmd_allocate(args) -> int:
     budget = _budget_from(args)
     plan = build_plan(fn, theta, budget, _check_policy(args.alloc, budget.kind))
     predicted = allocation.predicted_mse(fn, theta, plan)
-    _emit_rows(args, (
-        "function", "theta", "kind", "policy", "total", "t1", "t2", "n1",
-        "n2", "mode_counts", "predicted_mse",
-    ), [{
+    _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,
         "kind": plan.kind,
@@ -311,10 +302,7 @@ def _cmd_verify_fom(args) -> int:
                 "predicted_unsquared": rep.predicted_unsquared,
                 "z_unsquared": rep.z_unsquared,
             })
-    _emit_rows(args, (
-        "function", "theta", "sigma", "trials", "empirical", "se",
-        "predicted", "z", "predicted_unsquared", "z_unsquared",
-    ), rows, seed=seed)
+    _emit_rows(args, rows, seed=seed)
     return 0
 
 
@@ -324,11 +312,7 @@ def _cmd_interpolate(args) -> int:
     report = run_interpolation(gaussian_beam(), args.params, layout,
                                _budget_from(args), args.trials, seed,
                                threads=args.threads)
-    _emit_rows(args, (
-        "truth", "two_step_mse", "two_step_se", "unentangled_mse",
-        "unentangled_se", "entangled_bound", "unentangled_baseline",
-        "predicted_two_step", "advantage", "trials",
-    ), [{
+    _emit_rows(args, [{
         "truth": report.truth,
         "two_step_mse": report.two_step.mse,
         "two_step_se": report.two_step.se,

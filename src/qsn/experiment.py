@@ -1,4 +1,5 @@
-"""Monte Carlo harness: MSE estimation, resource sweeps, exports.
+"""Monte Carlo harness: MSE estimation, resource sweeps, and the reader
+of the sweep records the CLI writes.
 
 Reproducibility contract. A run is identified by (config, master_seed).
 Trials are evaluated in fixed-size chunks, each on its own index-derived
@@ -14,7 +15,6 @@ of these standard errors and trial counts are sized accordingly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import time
@@ -28,7 +28,7 @@ from .functions import AnalyticFunction, EvaluationError, as_params
 from .functions import from_rules, linear, quadratic
 from .measurement import MODELING_ASSUMPTIONS, RngStream
 from .protocol import (TINY_GRADIENT_RTOL, ResourceBudget, build_plan,
-                       run_two_step_batch, run_unentangled_batch)
+                       prior_point, run_two_step_batch, run_unentangled_batch)
 
 # Trials per chunk. Part of the determinism contract: changing it reshuffles
 # which stream serves which trial, so results are only comparable at equal
@@ -87,6 +87,8 @@ def collect_error_moments(draw, trials: int, stream: RngStream,
     ``stream.substream(c)``; partials are fsum-reduced in chunk order, so the
     output is independent of thread count.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     starts = list(range(0, trials, CHUNK))
 
     def one(c: int) -> tuple[float, float, float]:
@@ -125,10 +127,10 @@ def estimate_mse(config: ExperimentConfig, trials: int, master_seed: int,
     truth = fn.value(theta)
     if config.protocol == "two-step":
         plan = config.resolved_plan()
-        if plan.kind == "qubit-time" and plan.t1 == 0.0:
+        if plan.step1_free:
             # a step-1-free plan evaluates the gradient at the fixed prior;
             # if it vanishes there, every single trial would degenerate
-            prior = np.zeros(fn.dim)
+            prior = prior_point(fn.dim)
             w0 = np.max(np.abs(fn.gradient(prior)))
             if w0 <= TINY_GRADIENT_RTOL * max(1.0, abs(fn.value(prior))):
                 raise ValueError(
@@ -211,7 +213,7 @@ def verify_general_fom(fn: AnalyticFunction, theta, variances, trials: int,
     sd = np.sqrt(var)
     hess = fn.hessian(theta)
     diag = np.diag(hess)
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
+    coeffs = bounds.quartic_coeffs(hess)
     coeffs_unsq = (2.0 * hess + np.outer(diag, diag)) / 4.0
     predicted = float(var @ coeffs @ var)
     predicted_unsq = float(var @ coeffs_unsq @ var)
@@ -434,15 +436,6 @@ def fit_scaling_exponent(records, mses=None) -> tuple[float, float]:
 # -- persistence -----------------------------------------------------------------
 
 
-CSV_COLUMNS = ("protocol", "function", "theta", "resource_kind", "resource",
-               "trials", "mse", "mse_se", "bias", "predicted_mse", "bound",
-               "seed", "ms_elapsed")
-
-
-def _record_row(rec: SweepRecord) -> dict:
-    return {c: getattr(rec, c) for c in CSV_COLUMNS}
-
-
 def base_metadata() -> dict:
     """Version and modeling-assumption stamp for serialized outputs."""
     from . import __version__
@@ -451,52 +444,6 @@ def base_metadata() -> dict:
         "version": __version__,
         "modeling_assumptions": list(MODELING_ASSUMPTIONS),
     }
-
-
-def records_csv_text(records) -> str:
-    """CSV per the column schema; theta is ';'-joined shortest-round-trip
-    reprs so the file reloads to the exact floats."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        row = _record_row(rec)
-        # str() of a float is its shortest round-trip repr, so plain writing
-        # already satisfies the lossless-decimal contract
-        row["theta"] = ";".join(repr(x) for x in rec.theta)
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def records_json_text(records, extra_metadata: dict | None = None) -> str:
-    meta = base_metadata()
-    if extra_metadata:
-        meta.update(extra_metadata)
-    payload = {
-        "metadata": meta,
-        "records": [dict(_record_row(r), theta=list(r.theta))
-                    for r in records],
-    }
-    return json.dumps(payload, indent=1) + "\n"
-
-
-def export_records(records, destination, fmt: str | None = None,
-                   extra_metadata: dict | None = None) -> None:
-    """Write sweep records as CSV or JSON (format from the extension unless
-    given). JSON carries a metadata header; the CSV schema has no room for
-    one, so extra metadata is a JSON-only feature."""
-    destination = str(destination)
-    if fmt is None:
-        fmt = "json" if destination.endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
-    text = (records_csv_text(records) if fmt == "csv"
-            else records_json_text(records, extra_metadata))
-    try:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write records to {destination}: {exc}") from exc
 
 
 def _record_from_mapping(row: dict, theta) -> SweepRecord:
@@ -518,7 +465,9 @@ def _record_from_mapping(row: dict, theta) -> SweepRecord:
 
 
 def load_records(source) -> list:
-    """Read records written by export_records (format from the extension)."""
+    """Read the records that ``qsn simulate`` and ``qsn sweep`` write, as CSV
+    or JSON (format from the extension). Floats are written as their
+    shortest round-trip reprs, so the records reload exactly."""
     source = str(source)
     try:
         if source.endswith(".json"):

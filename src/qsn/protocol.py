@@ -92,15 +92,13 @@ def build_plan(fn: AnalyticFunction, theta, budget: ResourceBudget,
 
 def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
                      plan: allocation.AllocationPlan) -> np.ndarray:
-    """Per-parameter step-1 variances implied by a plan.
+    """Per-parameter step-1 variances implied by a plan that runs step 1.
 
     Zero resource on a parameter pins its estimate to the prior; that is only
     sound when the function is locally insensitive to it, so a zero count on
     a parameter with nonzero gradient is rejected.
     """
     if plan.kind == "qubit-time":
-        if plan.t1 == 0.0:
-            return np.zeros(fn.dim)
         return np.full(fn.dim, 1.0 / plan.t1**2)
     counts = np.asarray(plan.mode_counts, dtype=float)
     if counts.shape != (fn.dim,):
@@ -116,9 +114,10 @@ def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
     return count_variances(counts)
 
 
-def _prior_point(dim: int) -> np.ndarray:
-    # step-1-free runs start from the zero prior; callers wanting another
-    # prior should fold it into the parameterization
+def prior_point(dim: int) -> np.ndarray:
+    """The zero prior: where step-1-free runs evaluate the gradient, and
+    where the separable baseline leaves unmeasured parameters. Callers
+    wanting another prior should fold it into the parameterization."""
     return np.zeros(dim)
 
 
@@ -136,9 +135,8 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     if trials < 1:
         raise ValueError("trials must be positive")
     gen = _generator(rng)
-    step1_free = plan.kind == "qubit-time" and plan.t1 == 0.0
-    if step1_free:
-        theta1 = np.broadcast_to(_prior_point(fn.dim), (trials, fn.dim)).copy()
+    if plan.step1_free:
+        theta1 = np.broadcast_to(prior_point(fn.dim), (trials, fn.dim)).copy()
     else:
         var = _step1_variances(fn, theta_true, plan)
         theta1 = sample_param_estimates(theta_true, var, gen, size=trials)
@@ -231,7 +229,7 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
             raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
         var = _photon_variances(g, n_final)
         sampled = theta_true + np.sqrt(var) * normals[:, 1]
-    out = fn.values(np.where(var > 0, sampled, _prior_point(fn.dim)))
+    out = fn.values(np.where(var > 0, sampled, prior_point(fn.dim)))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value of {fn.label}")
     return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -243,6 +245,33 @@ def test_optimal_photon_split_examples():
 
     with pytest.raises(ValueError):
         al.optimal_photon_split(f, theta, 3)
+
+
+def test_optimal_photon_split_computes_hessian_and_partition_once(monkeypatch):
+    base, theta = fns.product(4), [0.8, 1.0, 1.3, 1.6]
+    expected = al.optimal_photon_split(base, theta, 10**5)
+    hessians, partitions = [], []
+
+    def hess_rule(p):
+        hessians.append(1)
+        return base.hess_rule(p)
+
+    def partition(coeffs):
+        partitions.append(1)
+        return original(coeffs)
+
+    original = al.continuous_pairwise_partition
+    monkeypatch.setattr(al, "continuous_pairwise_partition", partition)
+    fn = dataclasses.replace(base, hess_rule=hess_rule)
+    assert al.optimal_photon_split(fn, theta, 10**5) == expected
+    assert (len(hessians), len(partitions)) == (1, 1)
+
+
+def test_only_a_zero_t1_time_plan_skips_step1():
+    assert al.fixed_time_split(100.0, 0.0).step1_free
+    assert not al.fixed_time_split(100.0, 30.0).step1_free
+    plan = al.optimal_photon_split(fns.linear([1.0, 2.0]), [0.0, 0.0], 100)
+    assert not plan.step1_free
 
 
 def test_min_weighted_inverse_square_example():

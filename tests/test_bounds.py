@@ -191,11 +191,11 @@ def test_frozen_time_mse_predictions():
 
 
 def test_photon_residual_coefficient():
-    f = fns.product(2)
-    c = bounds.photon_residual_coefficient(f, [1.0, 1.0], [0.5, 0.5])
+    coeffs = bounds.hessian_quartic_coeffs(fns.product(2), [1.0, 1.0])
+    c = bounds.photon_residual_coefficient(coeffs, [0.5, 0.5])
     assert c == pytest.approx(16.0)
     with pytest.raises(ValueError):
-        bounds.photon_residual_coefficient(f, [1.0, 1.0], [0.7, 0.4])
+        bounds.photon_residual_coefficient(coeffs, [0.7, 0.4])
 
 
 def test_for_budget_dispatches_on_the_budget_kind():

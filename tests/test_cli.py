@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,9 +12,14 @@ import numpy as np
 import pytest
 
 import qsn
-from qsn import experiment
+from qsn import experiment, functions
 from qsn.cli import run_command
-from qsn.experiment import CSV_COLUMNS, load_records
+from qsn.experiment import load_records
+from qsn.measurement import MODELING_ASSUMPTIONS
+from qsn.protocol import ResourceBudget
+
+RECORD_HEADER = ("protocol,function,theta,resource_kind,resource,trials,mse,"
+                 "mse_se,bias,predicted_mse,bound,seed,ms_elapsed")
 
 
 def run_csv(argv, capsys):
@@ -84,7 +90,7 @@ def test_sweep_csv_schema(tmp_path):
          "--times", "1e3,3e3", "--trials", "300", "--seed", "7",
          "--no-timestamp", "--out", str(out)])
     assert code == 0
-    assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert out.read_text().splitlines()[0] == RECORD_HEADER
     records = load_records(out)
     assert [r.resource for r in records] == [1e3, 3e3]
     assert all(r.protocol == "two-step" for r in records)
@@ -106,6 +112,50 @@ def test_sweep_json_metadata(tmp_path):
     assert len(records) == 2
     # linear two-step prediction is the entangled floor max_j w_j^2/t^2
     assert records[0].predicted_mse == pytest.approx(0.16)
+
+
+def test_records_reload_exactly_from_csv_and_json(tmp_path):
+    argv = ["sweep", "--function", "product:d=2", "--theta", "1,0.7",
+            "--times", "1e3,1e4", "--trials", "200", "--seed", "5",
+            "--threads", "1", "--no-timestamp"]
+    cfg = experiment.ExperimentConfig(
+        function=functions.product(2), theta=(1.0, 0.7),
+        budget=ResourceBudget("qubit-time", 1e3))
+    expected = [dataclasses.replace(r, ms_elapsed=0.0) for r in
+                experiment.sweep_resource(cfg, (1e3, 1e4), 200, 5)]
+    for name in ("out.csv", "out.json"):
+        assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
+        # shortest round-trip decimals reload to the exact floats
+        assert load_records(tmp_path / name) == expected, name
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--function", "linear:3,4", "--theta", "0,0", "--time",
+      "10", "--trials", "200", "--seed", "2"], "records"),
+    (["bounds", "--function", "linear:3,4", "--theta", "0,0", "--time",
+      "10"], "rows"),
+])
+def test_json_metadata_stamps_version_and_assumptions(capsys, argv, key):
+    assert run_command([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == sorted(["metadata", key])
+    meta = payload["metadata"]
+    assert meta["version"] == qsn.__version__
+    assert meta["modeling_assumptions"] == list(MODELING_ASSUMPTIONS)
+    assert "gaussian-step1-estimates" in meta["modeling_assumptions"]
+    assert meta["command"] == " ".join(["qsn", *argv, "--format", "json"])
+
+
+def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    for argv in (["sweep", "--function", "linear:3,4", "--theta", "0,0",
+                  "--times", "10,20", "--trials", "200"],
+                 ["bounds", "--function", "linear:3,4", "--theta", "0,0",
+                  "--time", "10"]):
+        assert run_command([*argv, "--out", str(missing)]) == 1
+        assert f"cannot write {missing}" in capsys.readouterr().err
+    with pytest.raises(OSError, match="absent.json"):
+        load_records(tmp_path / "absent.json")
 
 
 def test_sweep_grid_flags_exclusive(capsys):
@@ -336,6 +386,35 @@ CLI_PINS = [
                          ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(CLI_PINS)])
 def test_cli_json_bytes_pinned(capsys, argv, digest):
     assert run_command([*argv, "--threads", "1", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `--threads 1 --format csv` stdout, recorded before the sweep
+# records and the result rows were merged into one writer
+CSV_PINS = [
+    (["sweep", "--function", "product:d=2", "--theta", "0.8,1.3", "--times",
+      "1e3,1e4", "--trials", "20000", "--seed", "11", "--no-timestamp"],
+     "b8304f88ab16d3cde2827f769dc634487c172cf5b11a9f004f8115f590e55523"),
+    (["sweep", "--function", "product:d=4", "--theta", "0.8,1,1.3,1.6",
+      "--photons", "2000,20000", "--protocol", "unentangled", "--trials",
+      "20000", "--seed", "11", "--no-timestamp"],
+     "1a4ccfb799d35b28f37abf7ae92d0a3ca4099e5bc97df30626a1a4e5249d2739"),
+    (["simulate", *PRODUCT3, "--photons", "2000", "--trials", "20000",
+      "--seed", "11", "--no-timestamp"],
+     "81ce0f227b009e87985700dadeb1e02e030ee5c4e8b3dd92d21f7e0c42a115f9"),
+    (["allocate", "--function", "product:d=4", "--theta", "0.8,1,1.3,1.6",
+      "--photons", "5000"],
+     "d9e6c8841cd491f9f416db614db48496c5e5a44cf2b354f3aae224637dfc6b4b"),
+    (["bounds", *PRODUCT3, "--photons", "100"],
+     "c488abe6106731900c41c02a5acaa6f4b30a64d1ddb985459ff3fda299de3e89"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CSV_PINS,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(CSV_PINS)])
+def test_cli_csv_bytes_pinned(capsys, argv, digest):
+    assert run_command([*argv, "--threads", "1", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def test_collect_error_moments_rejects_bad_draws():
     with pytest.raises(ValueError):
         ex.collect_error_moments(
             lambda s, n: np.zeros((n, 2)), 200, RngStream(1))
+
+
+def test_harness_rejects_nonpositive_trials():
+    # the shared harness checks the count, so every driver inherits it:
+    # -5 trials used to read an inflation of -1.0 and 0 divided by zero
+    for trials in (-5, 0):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            ex.step2_floor_inflation(fns.product(2), (1, 1.3), 0.01, trials, 1)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            ex.collect_error_moments(lambda s, n: np.zeros(n), trials,
+                                     RngStream(1))
 
 
 def test_estimate_mse_gaussian_estimator():
@@ -147,6 +160,20 @@ def test_verify_general_fom_validation():
         ex.verify_general_fom(f, (1.0, 1.0), [0.0, 0.01], 1000, seed=1)
     with pytest.raises(ValueError):
         ex.verify_general_fom(f, (1.0, 1.0), 0.01, 99, seed=1)
+
+
+def test_verify_general_fom_evaluates_the_hessian_once():
+    base = fns.quadratic([[1.0, -0.75], [-0.75, 2.0]], offset=[0.5, -1.0])
+    calls = []
+
+    def hess_rule(p):
+        calls.append(1)
+        return base.hess_rule(p)
+
+    fn = dataclasses.replace(base, hess_rule=hess_rule)
+    rep = ex.verify_general_fom(fn, (0.3, -0.2), 0.0025, 500, seed=7)
+    assert len(calls) == 1
+    assert rep == ex.verify_general_fom(base, (0.3, -0.2), 0.0025, 500, seed=7)
 
 
 def test_fom_report_infinite_z_when_se_vanishes():
@@ -276,51 +303,6 @@ def test_fit_scaling_exponent_synthetic():
         ex.fit_scaling_exponent(t[:2], 5.0 / t[:2] ** 2)
     with pytest.raises(ValueError, match="positive"):
         ex.fit_scaling_exponent(t, np.array([1.0, -1.0, 1.0, 1.0]))
-
-
-def sample_records():
-    cfg = product_config((1.0, 0.7))
-    return ex.sweep_resource(cfg, (1e3, 1e4), trials=200, master_seed=5)
-
-
-def test_csv_export_roundtrip(tmp_path):
-    records = sample_records()
-    path = tmp_path / "out.csv"
-    ex.export_records(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(ex.CSV_COLUMNS)
-    assert len(lines) == 1 + len(records)
-    loaded = ex.load_records(path)
-    assert loaded == records  # shortest-round-trip decimals reload exactly
-
-
-def test_json_export_idempotent(tmp_path):
-    records = sample_records()
-    path = tmp_path / "out.json"
-    ex.export_records(records, path, extra_metadata={"note": "n1"})
-    loaded = ex.load_records(path)
-    assert loaded == records
-    text_a = ex.records_json_text(records)
-    text_b = ex.records_json_text(loaded)
-    assert text_a == text_b
-
-    import json
-
-    payload = json.loads(path.read_text())
-    assert payload["metadata"]["version"] == qsn.__version__
-    assert payload["metadata"]["note"] == "n1"
-    assert "gaussian-step1-estimates" in payload["metadata"]["modeling_assumptions"]
-
-
-def test_export_errors(tmp_path):
-    records = sample_records()
-    missing_dir = tmp_path / "no-such-dir" / "x.csv"
-    with pytest.raises(OSError, match="no-such-dir"):
-        ex.export_records(records, missing_dir)
-    with pytest.raises(ValueError, match="format"):
-        ex.export_records(records, tmp_path / "x.dat", fmt="xml")
-    with pytest.raises(OSError, match="absent.json"):
-        ex.load_records(tmp_path / "absent.json")
 
 
 def test_base_metadata():
