@@ -14,7 +14,7 @@ protocol runners consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class AllocationPlan:
     Time plans carry (t1, t2) with t1 + t2 = total; t1 = 0 is the
     constant-gradient fast path that skips step 1 entirely. Photon plans
     carry (n1, n2) plus the integer step-1 mode counts.
+
+    A split derived from the model also keeps the coefficients it used,
+    with the function and point they belong to, in ``model``, so that
+    ``predicted_mse`` for that function and point does not derive them a
+    second time. The field takes no part in construction or equality.
     """
 
     kind: str
@@ -43,6 +48,8 @@ class AllocationPlan:
     n1: int = 0
     n2: int = 0
     mode_counts: tuple = ()
+    model: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         if self.kind == "qubit-time":
@@ -65,6 +72,20 @@ class AllocationPlan:
         """True for a time plan with t1 = 0, which runs no step 1 and
         evaluates the gradient at ``protocol.prior_point``."""
         return self.kind == "qubit-time" and self.t1 == 0.0
+
+    def _derived_from(self, fn: AnalyticFunction, theta: np.ndarray,
+                      coeffs) -> "AllocationPlan":
+        object.__setattr__(self, "model", (fn, theta.copy(), coeffs))
+        return self
+
+    def _model_of(self, fn: AnalyticFunction, theta: np.ndarray):
+        """The coefficients this plan was derived from at (fn, theta), or
+        None when it was derived elsewhere or from no model."""
+        if self.model is not None:
+            owner, at, coeffs = self.model
+            if owner is fn and np.array_equal(at, theta):
+                return coeffs
+        return None
 
 
 def golden_section_min(fn, lo: float, hi: float, rel_tol: float = GOLDEN_TOL,
@@ -121,6 +142,7 @@ def optimal_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
     if fn.family == "linear":
         return AllocationPlan(kind="qubit-time", policy="optimal",
                               total=float(t_total), t1=0.0, t2=float(t_total))
+    theta = as_params(theta, fn.dim)
     coeffs = bounds.time_mse_coefficients(fn, theta)
     if coeffs.degenerate:
         raise bounds.DegenerateGradientError(
@@ -131,7 +153,8 @@ def optimal_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
     else:
         t1 = closed_form_t1(coeffs.g1, coeffs.g2, t_total)
     return AllocationPlan(kind="qubit-time", policy="optimal",
-                          total=float(t_total), t1=t1, t2=float(t_total) - t1)
+                          total=float(t_total), t1=t1,
+                          t2=float(t_total) - t1)._derived_from(fn, theta, coeffs)
 
 
 def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> AllocationPlan:
@@ -145,6 +168,7 @@ def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
     if fn.family == "linear":
         return AllocationPlan(kind="qubit-time", policy="numeric",
                               total=float(t_total), t1=0.0, t2=float(t_total))
+    theta = as_params(theta, fn.dim)
     coeffs = bounds.time_mse_coefficients(fn, theta)
     if coeffs.degenerate:
         raise bounds.DegenerateGradientError(
@@ -160,7 +184,7 @@ def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
         )
     return AllocationPlan(kind="qubit-time", policy="numeric",
                           total=float(t_total), t1=float(t1),
-                          t2=float(t_total - t1))
+                          t2=float(t_total - t1))._derived_from(fn, theta, coeffs)
 
 
 def power_law_time_split(t_total: float, coeff: float, power: float) -> AllocationPlan:
@@ -303,17 +327,19 @@ def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> Allocatio
     part = _round_partition(coeffs, w, n1)
     return AllocationPlan(kind="photon-number", policy="optimal",
                           total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=part.counts)
+                          mode_counts=part.counts)._derived_from(fn, theta, coeffs)
 
 
 def fixed_photon_split(fn: AnalyticFunction, theta, n_total: int, n1: int) -> AllocationPlan:
     n_total, n1 = int(n_total), int(n1)
     if not fn.dim <= n1 <= n_total - 1:
         raise ValueError("need d <= n1 < n_total")
-    part = photon_step1_partition(fn, theta, n1)
+    theta = as_params(theta, fn.dim)
+    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
+    part = _round_partition(coeffs, continuous_pairwise_partition(coeffs), n1)
     return AllocationPlan(kind="photon-number", policy=f"fixed:{n1}",
                           total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=part.counts)
+                          mode_counts=part.counts)._derived_from(fn, theta, coeffs)
 
 
 def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, float]:
@@ -361,16 +387,20 @@ def predicted_mse(fn: AnalyticFunction, theta, plan: AllocationPlan) -> float:
     Time plans use the three-term expansion. Photon plans use
     |grad f|_1^2/n2^2 plus the curvature penalty of the integer step-1
     counts; the cross term of order 1/(n1^2 n2^2) is not modeled, so photon
-    predictions approach the truth from below by that amount.
+    predictions approach the truth from below by that amount. A plan derived
+    at this function and point lends its model coefficients.
     """
     theta = as_params(theta, fn.dim)
+    coeffs = plan._model_of(fn, theta)
     if plan.kind == "qubit-time":
-        coeffs = bounds.time_mse_coefficients(fn, theta)
+        if coeffs is None:
+            coeffs = bounds.time_mse_coefficients(fn, theta)
         return coeffs.mse_at(plan.t1, plan.t2)
     g = fn.gradient(theta)
     step2 = float(np.sum(np.abs(g)) ** 2) / plan.n2**2
     if plan.n1 == 0:
         return step2
     var = count_variances(np.asarray(plan.mode_counts, dtype=float))
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
+    if coeffs is None:
+        coeffs = bounds.hessian_quartic_coeffs(fn, theta)
     return step2 + float(var @ coeffs @ var)

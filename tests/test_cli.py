@@ -354,15 +354,17 @@ def test_sweep_json_bytes_pinned(capsys, d, protocol, flag, grid, digest):
 
 # sha256 of `--threads 1 --format json` stdout, recorded before the scalar
 # runners, the full third-derivative tensor and the third_rule slot were
-# deleted. interpolate takes the finite-difference third_diag_slice of the
-# induced beam function; verify-fom runs the from_rules battery targets
+# deleted, except interpolate, re-recorded when the beam's 3x3 Newton and
+# gradient solves went closed form. interpolate takes the finite-difference
+# third_diag_slice of the induced beam function; verify-fom runs the
+# from_rules battery targets
 PRODUCT3 = ["--function", "product:d=3", "--theta", "0.8,1.1,1.3"]
 QUADRATIC = ["--function", "quadratic:A=1,-0.75;-0.75,2,b=0.5,-1",
              "--theta", "0.3,-0.2"]
 CLI_PINS = [
     (["interpolate", "--params=1,0,1", "--sensors=-1.0,0.3,1.2", "--target",
       "0.1", "--time", "1e4", "--trials", "3000", "--seed", "7"],
-     "a30eb73af1373c5b71fa01e32899bb08a8d56c0759c4a31dce4ffe665ce9e8ef"),
+     "375534033d3faeff652124d577a3a38e6bea7330b38c06a4047f822593afa930"),
     (["verify-fom", "--sigma", "0.05", "--trials", "400", "--seed", "3"],
      "558a588921ebd6fb436dd59b4e7aa420f1d675832c6e466c111fd53e96cb9391"),
     (["allocate", *PRODUCT3, "--time", "1e4", "--alloc", "optimal"],

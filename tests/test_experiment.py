@@ -259,6 +259,31 @@ def test_sweep_resolves_each_plan_once(monkeypatch, protocol, plans):
     assert [a[2].amount for a in calls] == [1e3, 1e4, 1e5][:plans]
 
 
+@pytest.mark.parametrize("kind, grid, policy", [
+    ("qubit-time", (1e3, 1e4, 1e5), "optimal"),
+    ("qubit-time", (1e3, 1e4, 1e5), "numeric"),
+    ("photon-number", (2000, 20000), "optimal"),
+    ("photon-number", (2000, 20000), "fixed:60"),
+])
+def test_sweep_derives_each_points_model_once(kind, grid, policy):
+    # the plan and its prediction share one Hessian per grid point
+    base, hessians = fns.product(3), []
+    fn = dataclasses.replace(base, hess_rule=lambda p: hessians.append(1) or
+                             base.hess_rule(p))
+    cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3), pr.ResourceBudget(kind, grid[0]),
+                              policy=policy)
+    records = ex.sweep_resource(cfg, grid, trials=200, master_seed=5)
+    assert len(hessians) == len(grid)
+    for rec, amount in zip(records, grid):
+        plan = pr.build_plan(base, cfg.theta, pr.ResourceBudget(kind, amount), policy)
+        assert rec.predicted_mse == al.predicted_mse(base, cfg.theta, plan)
+    # a plan lends its coefficients only to the function it was derived for
+    other = fns.quadratic(np.diag([1.0, 2.0, 3.0]))
+    plan = pr.build_plan(fn, cfg.theta, cfg.budget, policy)
+    assert al.predicted_mse(other, cfg.theta, plan) == al.predicted_mse(
+        other, cfg.theta, dataclasses.replace(plan))
+
+
 def test_sweep_off_tie_matches_prediction():
     # with distinct gradient components every point sits within 3 SE
     cfg = product_config((1.0, 0.7))

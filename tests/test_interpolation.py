@@ -189,6 +189,38 @@ def test_induced_function_validation():
         ip.induced_function(BEAM, LAYOUT, (0.0, 0.0, 1.0))
 
 
+def exponential_ansatz():
+    """a exp(b x): two parameters, so its solves take the LAPACK path."""
+    return ip.Ansatz(
+        param_dim=2, label="exponential",
+        field_rule=lambda c, x: c[0] * np.exp(c[1] * x),
+        jacobian_rule=lambda c, x: np.stack(
+            [np.exp(c[1] * x), c[0] * x * np.exp(c[1] * x)], axis=1))
+
+
+def test_two_parameter_ansatz_matches_its_analytic_inverse():
+    # two sensors fix a = theta_0 exp(-b x_0), b = ln(theta_1/theta_0)/(x_1 -
+    # x_0), so the field at x* is theta_0^(1-s) theta_1^s, s = (x* - x_0)/(x_1 - x_0)
+    ansatz = exponential_ansatz()
+    layout = ip.SensorLayout((-0.5, 1.0), 0.4)
+    s = (0.4 + 0.5) / 1.5
+    fn = ip.induced_function(ansatz, layout, (1.0, 0.5))
+    readings = ip.forward_readings(ansatz, (1.0, 0.5), layout)
+    rng = np.random.default_rng(4)
+    block = readings * (1.0 + 0.05 * rng.standard_normal((16, 2)))
+    want = block[:, 0] ** (1.0 - s) * block[:, 1] ** s
+    # Newton stops at a residual of NEWTON_RTOL = 1e-10 of the readings
+    np.testing.assert_allclose(fn.values(block), want, rtol=1e-9)
+    np.testing.assert_allclose(
+        fn.gradients(block),
+        np.stack([(1.0 - s) * want / block[:, 0], s * want / block[:, 1]], axis=1),
+        rtol=1e-9)
+    # a zero-amplitude start zeroes a Jacobian column: LAPACK's singular pivot
+    # is reported as a singular Jacobian, not as a bare LinAlgError
+    with pytest.raises(ip.SingularJacobianError):
+        ip._batch_newton(ansatz, layout, readings[None, :], np.array([0.0, 0.5]))
+
+
 def test_target_at_sensor_reduces_to_projection():
     # the field at a sensor location IS that reading: gradient is the unit
     # vector, both bounds collapse, and the advantage ratio is exactly 1
@@ -255,15 +287,16 @@ def test_run_interpolation_resolves_its_plan_once(monkeypatch):
                                   ResourceBudget("qubit-time", 1e3),
                                   trials=2000, seed=3)
     assert len(calls) == 1
-    # the bits of the report before the plan was shared, at this seed
+    # the report's bits at this seed, as the closed-form 3x3 solves give
+    # them; sharing the plan left every bit as it was
     assert (report.two_step.mse, report.two_step.se, report.two_step.bias,
             report.unentangled.mse, report.unentangled.se,
             report.predicted_two_step,
             report.bound_report.entangled_bound) == (
-        7.019545991090691e-06, 2.4165935604262063e-07,
-        -0.00031952300447501205, 5.157993578892548e-06,
-        1.6626097860277856e-07, 6.807385139361266e-06,
-        3.764258308109984e-06)
+        7.019545991090697e-06, 2.4165935604261984e-07,
+        -0.00031952300447500977, 5.157993578892546e-06,
+        1.6626097860277843e-07, 6.8073851393998595e-06,
+        3.7642583081099797e-06)
 
 
 def test_run_interpolation_thread_count_keeps_every_bit():

@@ -43,3 +43,53 @@ def test_non_finite_readings_raise_and_never_return_nan(offset, row, col, bad):
     theta[col] = bad
     with pytest.raises(fns.EvaluationError):
         ExperimentConfig(FN, tuple(theta), ResourceBudget("qubit-time", 1e4))
+
+
+def conditioned_block(seed, n, log_cond, scale):
+    """(n, 3, 3) matrices U diag(s) V^T with singular values in
+    [1, 10^log_cond], times 2^scale, and their condition numbers."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+    s = 10.0 ** rng.uniform(0.0, log_cond, size=(n, 3))
+    mats = np.ldexp(u * s[:, None, :] @ np.transpose(v, (0, 2, 1)), scale)
+    return mats, s.max(axis=1) / s.min(axis=1), rng.standard_normal((n, 3))
+
+
+def assert_matches_lapack(mats, cond, rhs):
+    eps = np.finfo(float).eps
+    full = np.broadcast_to(mats, (len(rhs), 3, 3))
+    for transposed in (False, True):
+        want = np.linalg.solve(np.transpose(full, (0, 2, 1)) if transposed
+                               else full, rhs[:, :, None])[:, :, 0]
+        got = ip._solve_rows(mats, rhs, transposed)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 64 * eps * cond * np.linalg.norm(want, axis=1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       log_cond=st.floats(0.0, 6.0), scale=st.integers(-20, 20))
+def test_closed_form_3x3_solve_matches_lapack(seed, n, log_cond, scale):
+    mats, cond, rhs = conditioned_block(seed, n, log_cond, scale)
+    assert_matches_lapack(mats, cond, rhs)
+    # one matrix broadcast over every right-hand side, as at the anchor
+    assert_matches_lapack(mats[:1], cond[:1], rhs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), row=st.integers(0, 7),
+       col=st.integers(0, 2), fault=st.sampled_from(["zero", "rank2"]),
+       transposed=st.booleans())
+def test_one_singular_row_raises_and_never_returns_nan(seed, row, col, fault,
+                                                       transposed):
+    mats, _, rhs = conditioned_block(seed, 8, 2.0, 0)
+    if fault == "zero":
+        mats[row, :, col] = 0.0
+    else:
+        # a repeated column leaves rank 2 with a determinant of exactly 0
+        mats[row, :, col] = mats[row, :, (col + 1) % 3]
+    with pytest.raises(ip.SingularJacobianError):
+        ip._solve_rows(mats, rhs, transposed)
+    with pytest.raises(ip.SingularJacobianError):
+        ip._solve_rows(mats[row:row + 1], rhs, transposed)
