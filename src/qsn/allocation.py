@@ -14,7 +14,7 @@ protocol runners consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,6 @@ class AllocationPlan:
     Time plans carry (t1, t2) with t1 + t2 = total; t1 = 0 is the
     constant-gradient fast path that skips step 1 entirely. Photon plans
     carry (n1, n2) plus the integer step-1 mode counts.
-
-    A split derived from the model also keeps the coefficients it used,
-    with the function and point they belong to, in ``model``, so that
-    ``predicted_mse`` for that function and point does not derive them a
-    second time. The field takes no part in construction or equality.
     """
 
     kind: str
@@ -48,8 +43,6 @@ class AllocationPlan:
     n1: int = 0
     n2: int = 0
     mode_counts: tuple = ()
-    model: tuple | None = field(default=None, init=False, compare=False,
-                                repr=False)
 
     def __post_init__(self):
         if self.kind == "qubit-time":
@@ -72,20 +65,6 @@ class AllocationPlan:
         """True for a time plan with t1 = 0, which runs no step 1 and
         evaluates the gradient at ``protocol.prior_point``."""
         return self.kind == "qubit-time" and self.t1 == 0.0
-
-    def _derived_from(self, fn: AnalyticFunction, theta: np.ndarray,
-                      coeffs) -> "AllocationPlan":
-        object.__setattr__(self, "model", (fn, theta.copy(), coeffs))
-        return self
-
-    def _model_of(self, fn: AnalyticFunction, theta: np.ndarray):
-        """The coefficients this plan was derived from at (fn, theta), or
-        None when it was derived elsewhere or from no model."""
-        if self.model is not None:
-            owner, at, coeffs = self.model
-            if owner is fn and np.array_equal(at, theta):
-                return coeffs
-        return None
 
 
 def golden_section_min(fn, lo: float, hi: float, rel_tol: float = GOLDEN_TOL,
@@ -154,7 +133,7 @@ def optimal_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
         t1 = closed_form_t1(coeffs.g1, coeffs.g2, t_total)
     return AllocationPlan(kind="qubit-time", policy="optimal",
                           total=float(t_total), t1=t1,
-                          t2=float(t_total) - t1)._derived_from(fn, theta, coeffs)
+                          t2=float(t_total) - t1)
 
 
 def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> AllocationPlan:
@@ -184,7 +163,7 @@ def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> Allocatio
         )
     return AllocationPlan(kind="qubit-time", policy="numeric",
                           total=float(t_total), t1=float(t1),
-                          t2=float(t_total - t1))._derived_from(fn, theta, coeffs)
+                          t2=float(t_total - t1))
 
 
 def power_law_time_split(t_total: float, coeff: float, power: float) -> AllocationPlan:
@@ -258,41 +237,16 @@ def continuous_pairwise_partition(coeffs: np.ndarray, rel_tol: float = PARTITION
     return w
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    counts: tuple
-    fractions: tuple
-    uniform_fallback: bool
-
-
-def photon_step1_partition(fn: AnalyticFunction, theta, n1: int) -> PartitionResult:
-    """Integer step-1 photon counts minimizing the curvature penalty
-    sum_ij C_ij/(n_i^2 n_j^2) subject to sum n_i = n1.
-
-    The continuous fractions are budget-independent (the objective is
-    homogeneous), then largest-remainder rounding lands on integers. Zero
-    rounded counts are promoted to 1 (taken from the largest mode) so step-1
-    variances stay finite. A zero curvature matrix falls back to the uniform
-    split, flagged.
-    """
-    theta = as_params(theta, fn.dim)
-    if n1 < fn.dim:
-        raise ValueError(f"need at least one photon per mode (n1 >= {fn.dim})")
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-    return _round_partition(coeffs, continuous_pairwise_partition(coeffs), n1)
-
-
-def _round_partition(coeffs: np.ndarray, w: np.ndarray, n1: int) -> PartitionResult:
+def _round_partition(w: np.ndarray, n1: int) -> tuple:
+    """Integer step-1 photon counts: largest-remainder rounding of the
+    fractions w to n1, with zero counts promoted to 1 (taken from the
+    largest mode) so step-1 variances stay finite."""
     counts = largest_remainder(w, n1)
     for i in range(len(w)):
         if counts[i] == 0:
             counts[int(np.argmax(counts))] -= 1
             counts[i] = 1
-    return PartitionResult(
-        counts=tuple(int(x) for x in counts),
-        fractions=tuple(float(x) for x in w),
-        uniform_fallback=bool(np.all(coeffs == 0.0)),
-    )
+    return tuple(int(x) for x in counts)
 
 
 def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> AllocationPlan:
@@ -324,10 +278,9 @@ def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> Allocatio
         raw = (2.0 * g1_eff / g2_eff) ** 0.2 * n_total**0.6
         n1 = int(round(raw))
         n1 = min(max(n1, fn.dim), n_total // 2)
-    part = _round_partition(coeffs, w, n1)
     return AllocationPlan(kind="photon-number", policy="optimal",
                           total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=part.counts)._derived_from(fn, theta, coeffs)
+                          mode_counts=_round_partition(w, n1))
 
 
 def fixed_photon_split(fn: AnalyticFunction, theta, n_total: int, n1: int) -> AllocationPlan:
@@ -335,11 +288,10 @@ def fixed_photon_split(fn: AnalyticFunction, theta, n_total: int, n1: int) -> Al
     if not fn.dim <= n1 <= n_total - 1:
         raise ValueError("need d <= n1 < n_total")
     theta = as_params(theta, fn.dim)
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-    part = _round_partition(coeffs, continuous_pairwise_partition(coeffs), n1)
+    w = continuous_pairwise_partition(bounds.hessian_quartic_coeffs(fn, theta))
     return AllocationPlan(kind="photon-number", policy=f"fixed:{n1}",
                           total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=part.counts)._derived_from(fn, theta, coeffs)
+                          mode_counts=_round_partition(w, n1))
 
 
 def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, float]:
@@ -387,20 +339,15 @@ def predicted_mse(fn: AnalyticFunction, theta, plan: AllocationPlan) -> float:
     Time plans use the three-term expansion. Photon plans use
     |grad f|_1^2/n2^2 plus the curvature penalty of the integer step-1
     counts; the cross term of order 1/(n1^2 n2^2) is not modeled, so photon
-    predictions approach the truth from below by that amount. A plan derived
-    at this function and point lends its model coefficients.
+    predictions approach the truth from below by that amount.
     """
     theta = as_params(theta, fn.dim)
-    coeffs = plan._model_of(fn, theta)
     if plan.kind == "qubit-time":
-        if coeffs is None:
-            coeffs = bounds.time_mse_coefficients(fn, theta)
-        return coeffs.mse_at(plan.t1, plan.t2)
+        return bounds.time_mse_coefficients(fn, theta).mse_at(plan.t1, plan.t2)
     g = fn.gradient(theta)
     step2 = float(np.sum(np.abs(g)) ** 2) / plan.n2**2
     if plan.n1 == 0:
         return step2
     var = count_variances(np.asarray(plan.mode_counts, dtype=float))
-    if coeffs is None:
-        coeffs = bounds.hessian_quartic_coeffs(fn, theta)
+    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
     return step2 + float(var @ coeffs @ var)

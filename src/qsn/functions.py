@@ -6,9 +6,9 @@ scalar function of a parameter vector theta in R^d together with whatever
 closed-form derivative rules it has. Past the Hessian the expansion reads
 only the diagonal third-derivative slice f_{j,i,i}, so that slice is all the
 third-order information offered. Built-in families (linear, product,
-quadratic) carry exact rules for all of it; anything constructed from a bare
-value rule falls back to central finite differences with per-order step
-sizes.
+quadratic) carry exact rules for all of it; a missing rule falls back to
+central finite differences of the best lower-order rule, with per-order step
+sizes, each evaluating its whole stencil in one batched call.
 
 Conventions. Points are 1-D arrays of shape (d,), batches are (n, d) with the
 parameter axis last. Built-in rules are vectorized over the batch axis.
@@ -62,7 +62,10 @@ class AnalyticFunction:
     (n, d) out) which the protocol simulators exploit. ``third_diag_rule(theta,
     j)`` returns the slice f_{j,i,i} (i = 0..d-1), the only third derivatives
     the two-step expansion reads. Missing rules are replaced by central
-    finite differences of the best available lower-order rule.
+    finite differences of the best available lower-order rule: one batched
+    ``gradients`` call on the stencil when there is a gradient rule, one
+    batched ``values`` call otherwise. Where a row's bits depend on its
+    batch (the induced function's Newton inversion), so do these.
     """
 
     dim: int
@@ -97,7 +100,7 @@ class AnalyticFunction:
         if self.grad_rule is not None:
             g = np.asarray(self.grad_rule(theta), dtype=float)
         else:
-            g = self._fd_gradient(theta)
+            g = self._fd_gradients(theta[None])[0]
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise EvaluationError(
@@ -121,26 +124,27 @@ class AnalyticFunction:
         This is the only third-order information the two-step error expansion
         needs. The built-in families answer it from ``third_diag_rule`` in
         O(d) in any dimension. Without it, an exact gradient is second
-        differenced (2d + 1 gradient evaluations); a bare value rule gets a
-        central difference in theta_j of second differences in theta_i, 4d + 2
-        points in one batched call.
+        differenced, 2d + 1 points in one batched ``gradients`` call; a bare
+        value rule gets a central difference in theta_j of second differences
+        in theta_i, 4d + 2 points in one batched ``values`` call.
         """
         theta = as_params(theta, self.dim)
         if not 0 <= j < self.dim:
             raise ValueError(f"index {j} out of range for d={self.dim}")
         if self.third_diag_rule is not None:
-            return np.asarray(self.third_diag_rule(theta, j), dtype=float)
-        if self.grad_rule is None:
-            return self._fd_third_diag(theta, j)
-        steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
-        g0 = self._grad_component(theta, j)
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = steps[i]
-            gp = self._grad_component(theta + e, j)
-            gm = self._grad_component(theta - e, j)
-            out[i] = (gp - 2.0 * g0 + gm) / steps[i] ** 2
+            out = np.asarray(self.third_diag_rule(theta, j), dtype=float)
+        elif self.grad_rule is None:
+            out = self._fd_third_diag(theta, j)
+        else:
+            steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
+            shifts = np.diag(steps)
+            g = self.gradients(np.concatenate([theta[None], theta + shifts,
+                                               theta - shifts]))[:, j]
+            out = (g[1 : self.dim + 1] - 2.0 * g[0] + g[self.dim + 1 :]) / steps**2
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError(
+                f"non-finite third derivative slice {j} of {self.label}"
+            )
         return out
 
     # -- batch evaluation ---------------------------------------------------
@@ -169,9 +173,6 @@ class AnalyticFunction:
 
     # -- finite-difference fallbacks -----------------------------------------
 
-    def _grad_component(self, theta: np.ndarray, j: int) -> float:
-        return float(np.asarray(self.grad_rule(theta))[j])
-
     def _fd_third_diag(self, theta: np.ndarray, j: int) -> np.ndarray:
         # offsets +-h_j e_j +- h_i e_i, then +-h_j e_j; at i = j they are
         # exactly +-2h_j and 0, giving the usual four-point f_jjj stencil
@@ -182,19 +183,11 @@ class AnalyticFunction:
         offsets = np.concatenate([ej + ei, ej - ei, -ej + ei, -ej - ei,
                                   [ej, -ej]])
         vals = self.values(theta + offsets)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(f"non-finite value of {self.label} near {theta}")
         pp, pm, mp, mm = vals[:-2].reshape(4, self.dim)
         fp, fm = vals[-2:]
         second_p = pp - 2.0 * fp + pm
         second_m = mp - 2.0 * fm + mm
         return (second_p - second_m) / (2.0 * steps[j] * steps**2)
-
-    def _fd_gradient(self, theta: np.ndarray) -> np.ndarray:
-        steps = GRAD_STEP * np.maximum(1.0, np.abs(theta))
-        shifts = np.concatenate([np.diag(steps), -np.diag(steps)]) + theta
-        vals = self.values(shifts)
-        return (vals[: self.dim] - vals[self.dim :]) / (2.0 * steps)
 
     def _fd_gradients(self, points: np.ndarray) -> np.ndarray:
         n, d = points.shape
@@ -211,33 +204,21 @@ class AnalyticFunction:
     def _fd_hessian(self, theta: np.ndarray) -> np.ndarray:
         d = self.dim
         steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
-        hess = np.empty((d, d))
+        shifts = np.diag(steps)
         if self.grad_rule is not None:
             # differentiating the exact gradient is one order more accurate
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = steps[i]
-                gp = np.asarray(self.grad_rule(theta + e), float)
-                gm = np.asarray(self.grad_rule(theta - e), float)
-                hess[i] = (gp - gm) / (2.0 * steps[i])
-            return hess
-        f0 = self.value(theta)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = steps[i]
-            hess[i, i] = (
-                self.value(theta + ei) - 2.0 * f0 + self.value(theta - ei)
-            ) / steps[i] ** 2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = steps[j]
-                cross = (
-                    self.value(theta + ei + ej)
-                    - self.value(theta + ei - ej)
-                    - self.value(theta - ei + ej)
-                    + self.value(theta - ei - ej)
-                ) / (4.0 * steps[i] * steps[j])
-                hess[i, j] = hess[j, i] = cross
+            g = self.gradients(np.concatenate([theta + shifts, theta - shifts]))
+            return (g[:d] - g[d:]) / (2.0 * steps[:, None])
+        # the centre, +-h_i e_i, then +-h_i e_i +- h_j e_j for each i < j
+        i, j = np.triu_indices(d, 1)
+        ei, ej = shifts[i], shifts[j]
+        vals = self.values(theta + np.concatenate(
+            [np.zeros((1, d)), shifts, -shifts, ei + ej, ei - ej, -ei + ej, -ei - ej]
+        ))
+        f0, fp, fm = vals[0], vals[1 : d + 1], vals[d + 1 : 2 * d + 1]
+        pp, pm, mp, mm = vals[2 * d + 1 :].reshape(4, -1)
+        hess = np.diag((fp - 2.0 * f0 + fm) / steps**2)
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
         return hess
 
 
@@ -265,9 +246,9 @@ def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
         dim=fn.dim, family="probe", label=fn.label, value_rule=fn.value_rule
     )
     if order == 1:
-        return float(np.abs(fn.gradient(theta) - probe._fd_gradient(theta)).max())
+        return float(np.abs(fn.gradient(theta) - probe.gradient(theta)).max())
     if order == 2:
-        return float(np.abs(fn.hessian(theta) - probe._fd_hessian(theta)).max())
+        return float(np.abs(fn.hessian(theta) - probe.hessian(theta)).max())
     raise ValueError("order must be 1 or 2")
 
 

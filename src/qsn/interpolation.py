@@ -239,11 +239,11 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
 
     Every row starts from the same anchor, so the inversion is a pure
     function of the readings, and the first iterate's field and Jacobian are
-    evaluated once, at the anchor, then broadcast. Rows stay independent
-    through every step (``_solve_rows`` solves each row on its own), so the
-    bits match a row-by-row start. Converged rows take harmless near-zero
-    steps while the rest finish; non-finite readings and rows that never
-    converge are an error, not a NaN.
+    evaluated once, at the anchor, then broadcast. ``_solve_rows`` solves
+    each row on its own, but the block steps until its slowest row
+    converges, and converged rows take near-zero steps meanwhile, so a
+    row's bits can depend on the block it is inverted in. Non-finite
+    readings and rows that never converge are an error, not a NaN.
     """
     if not np.all(np.isfinite(readings)):
         # an infinite reading would make the tolerance infinite and pass

@@ -163,27 +163,21 @@ def test_power_law_mse_limit():
     assert c.mse_at(plan.t1, plan.t2) * 1e20 / c.g2 == pytest.approx(1.0, rel=1e-2)
 
 
+def partition(f, theta):
+    return al.continuous_pairwise_partition(bounds.hessian_quartic_coeffs(f, theta))
+
+
 def test_pairwise_partition_product_symmetry():
-    res = al.photon_step1_partition(fns.product(2), [1.0, 1.0], 10)
-    np.testing.assert_array_equal(res.counts, [5, 5])
-    np.testing.assert_allclose(res.fractions, [0.5, 0.5], atol=1e-9)
-    assert not res.uniform_fallback
+    f, theta = fns.product(2), [1.0, 1.0]
+    np.testing.assert_allclose(partition(f, theta), [0.5, 0.5], atol=1e-9)
+    assert al.fixed_photon_split(f, theta, 20, 10).mode_counts == (5, 5)
 
 
 def test_pairwise_partition_linear_uniform_fallback():
-    res = al.photon_step1_partition(fns.linear([1.0, 2.0]), [0.0, 0.0], 8)
-    np.testing.assert_array_equal(res.counts, [4, 4])
-    assert res.uniform_fallback
-
-
-def test_pairwise_partition_scale_invariance():
-    rng = np.random.default_rng(59)
-    for _ in range(10):
-        d = int(rng.integers(2, 5))
-        f, theta = random_quadratic(rng, d)
-        small = al.photon_step1_partition(f, theta, 100 * d)
-        big = al.photon_step1_partition(f, theta, 1000 * d)
-        np.testing.assert_allclose(small.fractions, big.fractions, atol=1e-8)
+    f, theta = fns.linear([1.0, 2.0]), [0.0, 0.0]
+    assert np.all(bounds.hessian_quartic_coeffs(f, theta) == 0.0)
+    np.testing.assert_array_equal(partition(f, theta), [0.5, 0.5])
+    assert al.fixed_photon_split(f, theta, 20, 8).mode_counts == (4, 4)
 
 
 @pytest.mark.filterwarnings("ignore:Values in x:RuntimeWarning")
@@ -196,7 +190,7 @@ def test_pairwise_partition_matches_constrained_oracle():
         coeffs = bounds.hessian_quartic_coeffs(f, theta)
         if coeffs.sum() < 1e-9:
             continue
-        res = al.photon_step1_partition(f, theta, 10**6)
+        w = al.continuous_pairwise_partition(coeffs)
 
         def objective(w):
             inv = 1.0 / (w * w)
@@ -209,17 +203,16 @@ def test_pairwise_partition_matches_constrained_oracle():
             bounds=[(1e-6, 1.0)] * d, options={"ftol": 1e-14, "maxiter": 500},
         )
         assert sol.success or sol.status == 8
-        assert objective(np.asarray(res.fractions)) <= objective(sol.x) * (1 + 1e-6)
+        assert objective(w) <= objective(sol.x) * (1 + 1e-6)
 
 
 def test_partition_requires_enough_photons_and_promotes_zeros():
     with pytest.raises(ValueError):
-        al.photon_step1_partition(fns.product(2), [1.0, 1.0], 1)
+        al.fixed_photon_split(fns.product(2), [1.0, 1.0], 100, 1)
     # strongly lopsided curvature: every mode still gets at least one photon
     f = fns.quadratic(np.diag([50.0, 1e-4, 1e-4]))
-    res = al.photon_step1_partition(f, [1.0, 1.0, 1.0], 3)
-    assert np.all(np.asarray(res.counts) >= 1)
-    assert sum(res.counts) == 3
+    counts = al.fixed_photon_split(f, [1.0, 1.0, 1.0], 100, 3).mode_counts
+    assert counts == (1, 1, 1)
 
 
 def test_optimal_photon_split_examples():

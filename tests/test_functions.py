@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsn import functions as fns
+from qsn import allocation as al, functions as fns
 
 
 def test_product_derivatives_at_ones():
@@ -105,20 +105,70 @@ def test_composite_fd_third_matches_exact_of_product():
     assert f_exact.derivatives_exact
 
 
-def test_value_only_third_slice_is_one_batched_call():
+@pytest.mark.parametrize("rules, derivative, rows", [
+    ("value", "third", 4 * 3 + 2),
+    ("value", "hessian", 2 * 3 * 3 + 1),
+    ("gradient", "hessian", 2 * 3),
+    ("gradient", "third", 2 * 3 + 1),
+])
+def test_value_only_third_slice_is_one_batched_call(rules, derivative, rows):
+    # every finite-difference derivative evaluates its whole stencil in one
+    # batched call of the best rule it has
     calls = []
+
+    def counted(rule):
+        def batch(th):
+            th = np.asarray(th, float)
+            calls.append(th.shape)
+            return rule(th)
+        return batch
+
+    if rules == "value":
+        f = fns.composite(counted(lambda th: np.sin(th).sum(axis=-1)), 3)
+    else:
+        base = cubic3(False)
+        f = fns.from_rules(3, "cubic3", base.value_rule, base.grad_rule, None,
+                           grad_batch_rule=counted(np.vectorize(
+                               base.grad_rule, signature="(d)->(d)")))
+    th = [0.9, 1.1, -0.7]
+    if derivative == "third":
+        f.third_diag_slice(th, 2)
+    else:
+        f.hessian(th)
+    assert calls == [(rows, 3)]
+
+
+def test_non_finite_third_slice_raises():
+    # f = x0 log x1 at x1 = 1e-4: the gradient stencil steps onto x1 = 0,
+    # where x0/x1 is infinite, so the slice, and any prediction built on
+    # it, must raise rather than read inf
+    def hess(th):
+        return np.array([[0.0, 1.0 / th[1]], [1.0 / th[1], -th[0] / th[1] ** 2]])
 
     def value(th):
         th = np.asarray(th, float)
-        calls.append(th.shape)
-        return np.sin(th).sum(axis=-1)
+        return th[..., 0] * np.log(th[..., 1])
 
-    f = fns.composite(value, 3)
-    f.third_diag_slice([0.9, 1.1, -0.7], 2)
-    assert calls == [(4 * 3 + 2, 3)]
-    bad = fns.composite(lambda th: np.log(np.asarray(th, float)).sum(axis=-1), 2)
-    with np.errstate(invalid="ignore"), pytest.raises(fns.EvaluationError):
-        bad.third_diag_slice([1e-4, 1.0], 0)
+    def grad(th):
+        return np.array([np.log(th[1]), th[0] / th[1]])
+
+    def third(th, j):
+        return np.array([0.0, 2.0 * th[0] / th[1] ** 3 if j else -1.0 / th[1] ** 2])
+
+    theta = np.array([1.0, 1e-4])
+    stencil = fns.from_rules(2, "x0 log x1", value, grad, hess)
+    ruled = fns.from_rules(2, "x0 log x1", value, grad, hess, third)
+    plan = al.fixed_time_split(1e4, 100.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(fns.EvaluationError, match="third derivative"):
+            stencil.third_diag_slice(theta, 1)
+        with pytest.raises(fns.EvaluationError, match="third derivative"):
+            al.predicted_mse(stencil, theta, plan)
+        with pytest.raises(fns.EvaluationError, match="third derivative"):
+            ruled.third_diag_slice([1.0, 0.0], 1)
+        bad = fns.composite(lambda th: np.log(np.asarray(th, float)).sum(axis=-1), 2)
+        with pytest.raises(fns.EvaluationError):
+            bad.third_diag_slice([1e-4, 1.0], 0)
 
 
 def test_fd_third_diag_slice_evaluates_the_base_gradient_once():

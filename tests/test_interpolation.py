@@ -325,8 +325,22 @@ def test_two_step_chunk_inverts_its_draws_once(monkeypatch):
     cfg = ExperimentConfig(fn, tuple(READINGS), ResourceBudget("qubit-time", 1e4))
     estimate_mse(cfg, 2 * CHUNK + 100, master_seed=1, threads=2)
     # one inversion per chunk, shared by its gradients and values calls on
-    # whichever thread runs the chunk
-    assert sorted(n for n in rows if n > 1) == [100, CHUNK, CHUNK]
+    # whichever thread runs the chunk; the plan's derivative stencils invert
+    # blocks of at most 2d + 1 rows
+    assert sorted(n for n in rows if n > 2 * LAYOUT.dim + 1) == [100, CHUNK, CHUNK]
+
+
+def test_model_coefficients_invert_each_stencil_once(monkeypatch):
+    # the gradient at the readings (shared with argmax_grad_index), then the
+    # Hessian's 2d points and the third slice's 2d + 1 points, one block each
+    rows = []
+    newton = ip._batch_newton
+    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
+                        rows.append(len(readings)) or
+                        newton(ansatz, layout, readings, start))
+    fn = ip.induced_function(BEAM, LAYOUT, TRUE)
+    bounds.time_mse_coefficients(fn, READINGS)
+    assert rows == [1, 6, 7]
 
 
 def test_block_changed_in_place_is_inverted_afresh():

@@ -93,3 +93,60 @@ def test_one_singular_row_raises_and_never_returns_nan(seed, row, col, fault,
         ip._solve_rows(mats, rhs, transposed)
     with pytest.raises(ip.SingularJacobianError):
         ip._solve_rows(mats[row:row + 1], rhs, transposed)
+
+
+def fd_tolerance(step, order):
+    """Rounding error of a central difference of the given order: a few eps
+    of the differenced rule over step^order. The targets below keep |f| and
+    |grad f| under 100 on every stencil, and no stencil here has a
+    truncation error: each family is at most quadratic in every coordinate."""
+    return 16 * np.finfo(float).eps * 100 / step**order
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["quadratic", "product"]), d=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-2.0, 2.0, size=d)
+    if family == "product":
+        exact = fns.product(d)
+        batch = exact.grad_batch_rule
+    else:
+        exact = fns.quadratic(rng.uniform(-1.0, 1.0, (d, d)),
+                              rng.uniform(-1.0, 1.0, d))
+        sym = exact.hessian(theta)
+
+        def batch(points):
+            # column by column, so each row's bits depend on that row alone
+            out = np.tile(exact.grad_rule(np.zeros(d)), (len(points), 1))
+            for k in range(d):
+                out += points[:, k:k + 1] * sym[:, k]
+            return out
+
+    def scalar(th):
+        return batch(np.asarray(th, float)[None, :])[0]
+
+    looped = fns.from_rules(d, "looped", exact.value_rule, scalar, None)
+    batched = fns.from_rules(d, "batched", exact.value_rule, scalar, None,
+                             grad_batch_rule=batch)
+    value_only = fns.composite(exact.value_rule, d)
+    # a batch rule whose rows match the point rule gives the same bits
+    assert np.array_equal(looped.hessian(theta), batched.hessian(theta))
+    for j in range(d):
+        assert np.array_equal(looped.third_diag_slice(theta, j),
+                              batched.third_diag_slice(theta, j))
+
+    h = exact.hessian(theta)
+    np.testing.assert_allclose(batched.hessian(theta), h, rtol=0,
+                               atol=fd_tolerance(fns.HESS_STEP, 1))
+    np.testing.assert_allclose(value_only.gradient(theta), exact.gradient(theta),
+                               rtol=0, atol=fd_tolerance(fns.GRAD_STEP, 1))
+    np.testing.assert_allclose(value_only.hessian(theta), h, rtol=0,
+                               atol=fd_tolerance(fns.HESS_STEP, 2))
+    for j in range(d):
+        want = exact.third_diag_slice(theta, j)
+        np.testing.assert_allclose(batched.third_diag_slice(theta, j), want,
+                                   rtol=0, atol=fd_tolerance(fns.HESS_STEP, 2))
+        np.testing.assert_allclose(value_only.third_diag_slice(theta, j), want,
+                                   rtol=0, atol=fd_tolerance(fns.THIRD_STEP, 3))
