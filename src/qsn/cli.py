@@ -100,15 +100,20 @@ def parse_function_spec(spec: str) -> functions.AnalyticFunction:
 
 
 def resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QSN_SEED")
-    if env is not None:
+    """``--seed``, else ``QSN_SEED``, else 0; a seed outside [0, 2^64) is a
+    usage error."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get("QSN_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "QSN_SEED"
         except ValueError:
             raise UsageError(f"QSN_SEED={env!r} is not an integer") from None
-    return 0
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} {seed} is outside [0, 2^64)")
+    return seed
 
 
 def _budget_from(args) -> ResourceBudget:

@@ -271,6 +271,40 @@ def fold_columns(ufunc: np.ufunc, points) -> np.ndarray:
     return out
 
 
+# Elements per line in ``rowwise``: long enough that a loop call's overhead
+# vanishes, short enough that the tiled vector stays in L1.
+_LINE = 512
+
+
+def rowwise(ufunc: np.ufunc, a, b, out: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b, out=out)`` where one operand is a (d,) vector and the
+    other, like ``out``, a C-contiguous (n, d) block; returns ``out``.
+
+    Broadcasting the vector over the rows pays one inner-loop call per row,
+    and at small d that call overhead is most of the cost. Here the rows are
+    taken k at a time as lines of about ``_LINE`` elements, each met by the
+    vector tiled k times; the n mod k rows left over broadcast as usual. The
+    op is elementwise, so the bits are those of the plain broadcast. ``out``
+    may be the block operand itself.
+    """
+    n, d = out.shape
+    if not out.flags.c_contiguous:
+        raise ValueError("rowwise writes into a C-contiguous (n, d) block")
+    vec_first = np.ndim(a) == 1
+    vec, block = (a, b) if vec_first else (b, a)
+    k = max(1, _LINE // d)
+    m = n - n % k
+    if m:
+        line = np.tile(vec, k)
+        rows = np.reshape(block[:m], (-1, k * d))
+        pair = (line, rows) if vec_first else (rows, line)
+        ufunc(*pair, out=out[:m].reshape(-1, k * d))
+    if m < n:
+        pair = (vec, block[m:]) if vec_first else (block[m:], vec)
+        ufunc(*pair, out=out[m:])
+    return out
+
+
 def _zero_diag_slice(dim: int):
     # every third derivative with a repeated index vanishes
     return lambda theta, j: np.zeros(dim)

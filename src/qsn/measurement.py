@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import as_params
+from .functions import as_params, rowwise
 
 # Modeling assumptions behind the distribution-level samplers; exported into
 # result metadata so downstream records are self-describing.
@@ -86,13 +86,14 @@ def sample_param_estimates(theta, variances, rng, size: int | None = None) -> np
     if np.any(var < 0) or not np.all(np.isfinite(var)):
         raise ValueError("variances must be finite and nonnegative")
     gen = _generator(rng)
-    shape = theta.shape if size is None else (size, theta.shape[0])
-    # in place: each (size, d) temporary costs page faults at Monte Carlo
-    # chunk sizes; the sum and product are the same bits either way round
-    draws = gen.standard_normal(shape)
-    draws *= np.sqrt(var)
-    draws += theta
-    return draws
+    # one (rows, d) block, scaled and shifted in place: a fresh temporary
+    # costs page faults at Monte Carlo chunk sizes, and ``rowwise`` spares
+    # a broadcast's loop call per row; the bits are those of
+    # theta + sqrt(var) * normals either way
+    draws = gen.standard_normal((1 if size is None else size, theta.shape[0]))
+    rowwise(np.multiply, draws, np.sqrt(var), out=draws)
+    rowwise(np.add, draws, theta, out=draws)
+    return draws[0] if size is None else draws
 
 
 # -- GHZ linear-combination measurement ---------------------------------------

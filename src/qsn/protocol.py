@@ -24,13 +24,19 @@ import numpy as np
 
 from . import allocation
 from .functions import (AnalyticFunction, EvaluationError, as_params,
-                        fold_columns)
+                        fold_columns, rowwise)
 from .measurement import _generator, count_variances, sample_param_estimates
 
 # Step-2 weights below this size (relative to the function scale) are treated
 # as an exact critical point: the combination carries no signal, so the
 # correction is skipped instead of normalizing a zero-length weight vector.
 TINY_GRADIENT_RTOL = 1e-12
+
+# From this many terms on, np.sum adds a row in interleaved partial sums,
+# whose bits a column fold would not reproduce. Below it numpy adds left to
+# right from +0.0, which on nonnegative terms gives the bits of
+# ``fold_columns``: one loop call per column instead of one per row.
+_PAIRWISE_SUM_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -142,14 +148,21 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
         theta1 = sample_param_estimates(theta_true, var, gen, size=trials)
     w = fn.gradients(theta1)
     f1 = fn.values(theta1)
-    q = np.einsum("nd,nd->n", w, theta_true[None, :] - theta1)
-    abs_w = np.abs(w)
+    # theta1 is read for the last time here, so theta_true - theta1 and then
+    # |w| go into its buffer, unless a rule handed back (a view of) its input
+    if np.may_share_memory(theta1, w) or np.may_share_memory(theta1, f1):
+        buf = np.empty_like(theta1)
+    else:
+        buf = theta1
+    diff = rowwise(np.subtract, theta_true, theta1, out=buf)
+    q = np.einsum("nd,nd->n", w, diff)
+    abs_w = np.abs(w, out=buf)
     wmax = fold_columns(np.maximum, abs_w)
     if plan.kind == "qubit-time":
         noise_sd = wmax / plan.t2
+    elif fn.dim < _PAIRWISE_SUM_FROM:
+        noise_sd = fold_columns(np.add, abs_w) / plan.n2
     else:
-        # from eight terms on np.sum adds in interleaved partial sums, whose
-        # bits a column fold would not reproduce
         noise_sd = np.sum(abs_w, axis=1) / plan.n2
     live = wmax > TINY_GRADIENT_RTOL * np.maximum(1.0, np.abs(f1))
     q = np.where(live, q, 0.0)
@@ -229,7 +242,12 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
             raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
         var = _photon_variances(g, n_final)
         sampled = theta_true + np.sqrt(var) * normals[:, 1]
-    out = fn.values(np.where(var > 0, sampled, prior_point(fn.dim)))
+    # a zero variance pins its parameter to the prior; sampled is this
+    # call's own buffer, so the pin goes in place, and only when needed
+    unmeasured = var == 0
+    if np.any(unmeasured):
+        np.copyto(sampled, prior_point(fn.dim), where=unmeasured)
+    out = fn.values(sampled)
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value of {fn.label}")
     return out

@@ -200,6 +200,11 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         assert run_command([*sweep, *grid]) == 2
     assert run_command([*sweep, "--photons", "100,200", "--alloc",
                         "numeric"]) == 2
+    # seeds live in [0, 2^64), from the flag or the environment
+    for seed in ("-1", str(2**64)):
+        assert run_command([*simulate, "--time", "1e3", "--seed", seed]) == 2
+    monkeypatch.setenv("QSN_SEED", "-3")
+    assert run_command([*simulate, "--time", "1e3"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 

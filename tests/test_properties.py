@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsn import functions as fns, interpolation as ip
 from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse
@@ -150,3 +150,67 @@ def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
                                    rtol=0, atol=fd_tolerance(fns.HESS_STEP, 2))
         np.testing.assert_allclose(value_only.third_diag_slice(theta, j), want,
                                    rtol=0, atol=fd_tolerance(fns.THIRD_STEP, 3))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["product", "quadratic"]),
+       d=st.sampled_from([1, 2, 3, 4, 7, 8, 9]),
+       kind=st.sampled_from(["qubit-time", "photon-number"]),
+       protocol=st.sampled_from(["two-step", "unentangled"]),
+       trials=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_built_in_targets_mse_is_thread_count_invariant(family, d, kind,
+                                                        protocol, trials,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    theta = tuple(rng.uniform(0.5, 1.5, d))
+    fn = (fns.product(d) if family == "product"
+          else fns.quadratic(rng.uniform(-1.0, 1.0, (d, d)),
+                             rng.uniform(-1.0, 1.0, d)))
+    amount = 1e4 if kind == "qubit-time" else 100_000
+    cfg = ExperimentConfig(fn, theta, ResourceBudget(kind, amount),
+                           protocol=protocol)
+    one, two = (estimate_mse(cfg, trials, seed, threads=t) for t in (1, 2))
+    assert repr(one) == repr(two)
+    assert one.trials == trials and np.isfinite(one.mse)
+
+
+def signed_block(rng, shape):
+    """Signed values over sixty decades, some of them +0.0 and -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ufunc=st.sampled_from([np.add, np.subtract, np.multiply]),
+       vec_first=st.booleans(), in_place=st.booleans(),
+       d=st.integers(1, 40), n=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+# fewer rows than one line, and a line count that leaves a tail
+@example(ufunc=np.subtract, vec_first=True, in_place=True, d=2, n=100, seed=1)
+@example(ufunc=np.multiply, vec_first=False, in_place=False, d=3, n=2999,
+         seed=2)
+def test_rowwise_gives_the_bits_of_broadcasting(ufunc, vec_first, in_place,
+                                               d, n, seed):
+    rng = np.random.default_rng(seed)
+    block, vec = signed_block(rng, (n, d)), signed_block(rng, d)
+    a, b = (vec, block) if vec_first else (block, vec)
+    want = ufunc(a, b)
+    out = block if in_place else np.empty((n, d))
+    got = fns.rowwise(ufunc, a, b, out=out)
+    assert got is out and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 7), n=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_fold_adds_as_numpy_sum_below_eight_terms(d, n, seed):
+    # the photon two-step chunk sums |w| by columns below eight terms; an
+    # all-negative-zero row is the one place signed terms part: np.sum
+    # starts from +0.0 and returns +0.0 there
+    x = signed_block(np.random.default_rng(seed), (n, d))
+    assert np.array_equal(fns.fold_columns(np.add, x), np.sum(x, axis=1))
+    x = np.abs(x)
+    assert fns.fold_columns(np.add, x).tobytes() == np.sum(x, axis=1).tobytes()

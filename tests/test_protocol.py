@@ -134,6 +134,48 @@ def test_constant_function_never_produces_nan():
     np.testing.assert_allclose(est, 3.0, atol=1e-7)
 
 
+def half_square_norm(alias: bool):
+    # |x|^2 / 2, whose gradient is its input: the aliasing twin hands back
+    # the very block it was given
+    return fns.from_rules(
+        2, "half-square-norm",
+        value_rule=lambda p: 0.5 * np.sum(np.square(p), axis=-1),
+        grad_rule=lambda p: np.array(p, float),
+        hess_rule=lambda p: np.eye(2),
+        grad_batch_rule=(lambda p: p) if alias else (lambda p: p.copy()))
+
+
+def first_coordinate(alias: bool):
+    # x_0, whose value is a column of its input: the aliasing twin returns
+    # that column as a view, and a read-only broadcast as its gradient
+    e0 = np.array([1.0, 0.0])
+    return fns.from_rules(
+        2, "first-coordinate",
+        value_rule=(lambda p: p[..., 0]) if alias else (lambda p: p[..., 0].copy()),
+        grad_rule=lambda p: e0.copy(),
+        hess_rule=lambda p: np.zeros((2, 2)),
+        grad_batch_rule=(lambda p: np.broadcast_to(e0, p.shape)) if alias
+        else (lambda p: np.tile(e0, (p.shape[0], 1))))
+
+
+@pytest.mark.parametrize("target", [half_square_norm, first_coordinate])
+@pytest.mark.parametrize("budget", [pr.ResourceBudget("qubit-time", 1e3),
+                                    pr.ResourceBudget("photon-number", 2000)])
+@pytest.mark.parametrize("protocol", ["two-step", "unentangled"])
+def test_rules_that_return_their_input_give_the_bits_of_copying_rules(
+        target, budget, protocol):
+    # the chunk reuses its own step-1 buffer once the rules have read it;
+    # it must never write into an array a rule returned
+    theta = (0.6, 0.9)
+    copying, aliasing = (
+        ex.estimate_mse(ex.ExperimentConfig(target(alias), theta, budget,
+                                            protocol=protocol),
+                        ex.CHUNK + 100, master_seed=31, threads=2)
+        for alias in (False, True))
+    assert repr(aliasing) == repr(copying)
+    assert copying.mse > 0.0
+
+
 def test_batch_matches_scalar_draw_for_draw():
     # a batch of one replays the documented draw order, recomputed here for
     # one trial: d step-1 normals, then one step-2 normal
