@@ -31,6 +31,7 @@ from . import __version__, allocation, bounds, functions
 from .experiment import (ExperimentConfig, base_metadata, check_grid,
                          fom_battery, sweep_resource, verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
+from .measurement import RngStream
 from .protocol import ResourceBudget, build_plan, parse_policy
 
 
@@ -100,8 +101,8 @@ def parse_function_spec(spec: str) -> functions.AnalyticFunction:
 
 
 def resolve_seed(args) -> int:
-    """``--seed``, else ``QSN_SEED``, else 0; a seed outside [0, 2^64) is a
-    usage error."""
+    """``--seed``, else ``QSN_SEED``, else 0; a seed ``RngStream`` refuses
+    is a usage error."""
     seed, source = args.seed, "--seed"
     if seed is None:
         env = os.environ.get("QSN_SEED")
@@ -111,8 +112,10 @@ def resolve_seed(args) -> int:
             seed, source = int(env), "QSN_SEED"
         except ValueError:
             raise UsageError(f"QSN_SEED={env!r} is not an integer") from None
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"{source} {seed} is outside [0, 2^64)")
+    try:
+        RngStream(seed)
+    except ValueError as exc:
+        raise UsageError(f"{source} {seed}: {exc}") from None
     return seed
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import allocation, bounds
 from .functions import AnalyticFunction, EvaluationError, as_params
-from .functions import from_rules, linear, quadratic, rowwise
+from .functions import from_rules, linear, quadratic
 from .measurement import MODELING_ASSUMPTIONS, RngStream
 from .protocol import (TINY_GRADIENT_RTOL, ResourceBudget, build_plan,
                        prior_point, run_two_step_batch, run_unentangled_batch)
@@ -225,9 +225,8 @@ def verify_general_fom(fn: AnalyticFunction, theta, variances, trials: int,
 
     def draw(stream, n):
         gen = stream.generator()
-        delta = gen.standard_normal((n, fn.dim))
-        rowwise(np.multiply, delta, sd, out=delta)
-        pts = rowwise(np.add, theta, delta, out=np.empty_like(delta))
+        delta = gen.standard_normal((n, fn.dim)) * sd
+        pts = theta + delta
         w = fn.gradients(pts)
         errors = fn.values(pts) - np.einsum("nd,nd->n", w, delta) - truth
         errors[np.abs(errors) <= floor] = 0.0
@@ -255,8 +254,7 @@ def step2_floor_inflation(fn: AnalyticFunction, theta, sigma: float,
 
     def draw(stream, n):
         gen = stream.generator()
-        pts = sigma * gen.standard_normal((n, fn.dim))
-        rowwise(np.add, theta, pts, out=pts)
+        pts = theta + sigma * gen.standard_normal((n, fn.dim))
         return np.max(np.abs(fn.gradients(pts)), axis=1)
 
     _, m2, _ = collect_error_moments(draw, trials, RngStream(seed, 0))

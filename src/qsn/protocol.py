@@ -32,12 +32,6 @@ from .measurement import _generator, count_variances, sample_param_estimates
 # correction is skipped instead of normalizing a zero-length weight vector.
 TINY_GRADIENT_RTOL = 1e-12
 
-# From this many terms on, np.sum adds a row in interleaved partial sums,
-# whose bits a column fold would not reproduce. Below it numpy adds left to
-# right from +0.0, which on nonnegative terms gives the bits of
-# ``fold_columns``: one loop call per column instead of one per row.
-_PAIRWISE_SUM_FROM = 8
-
 
 @dataclass(frozen=True)
 class ResourceBudget:
@@ -160,9 +154,9 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     wmax = fold_columns(np.maximum, abs_w)
     if plan.kind == "qubit-time":
         noise_sd = wmax / plan.t2
-    elif fn.dim < _PAIRWISE_SUM_FROM:
-        noise_sd = fold_columns(np.add, abs_w) / plan.n2
     else:
+        # from eight terms on np.sum adds in interleaved partial sums, whose
+        # bits a column fold would not reproduce
         noise_sd = np.sum(abs_w, axis=1) / plan.n2
     live = wmax > TINY_GRADIENT_RTOL * np.maximum(1.0, np.abs(f1))
     q = np.where(live, q, 0.0)

@@ -201,16 +201,3 @@ def test_rowwise_gives_the_bits_of_broadcasting(ufunc, vec_first, in_place,
     out = block if in_place else np.empty((n, d))
     got = fns.rowwise(ufunc, a, b, out=out)
     assert got is out and got.tobytes() == want.tobytes()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(1, 7), n=st.integers(1, 3000),
-       seed=st.integers(0, 2**32 - 1))
-def test_column_fold_adds_as_numpy_sum_below_eight_terms(d, n, seed):
-    # the photon two-step chunk sums |w| by columns below eight terms; an
-    # all-negative-zero row is the one place signed terms part: np.sum
-    # starts from +0.0 and returns +0.0 there
-    x = signed_block(np.random.default_rng(seed), (n, d))
-    assert np.array_equal(fns.fold_columns(np.add, x), np.sum(x, axis=1))
-    x = np.abs(x)
-    assert fns.fold_columns(np.add, x).tobytes() == np.sum(x, axis=1).tobytes()
