@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .functions import AnalyticFunction, as_params
 from .measurement import count_variances, largest_remainder
 
 GOLDEN_TOL = 1e-10
@@ -110,60 +109,60 @@ def _flat_point_t1(t_total: float) -> float:
     return float(max(1.0, np.sqrt(t_total)))
 
 
-def optimal_time_split(fn: AnalyticFunction, theta, t_total: float) -> AllocationPlan:
-    """Closed-form optimal split for a time budget.
-
-    Linear-family functions get t1 = 0 (constant gradient, nothing to
-    localize); other zero-curvature points get t1 = max(1, sqrt(t)).
-    """
-    if not np.isfinite(t_total) or t_total <= 2:
-        raise ValueError("t_total must exceed 2")
-    if fn.family == "linear":
-        return AllocationPlan(kind="qubit-time", policy="optimal",
-                              total=float(t_total), t1=0.0, t2=float(t_total))
-    theta = as_params(theta, fn.dim)
-    coeffs = bounds.time_mse_coefficients(fn, theta)
-    if coeffs.degenerate:
+def _require_gradient(model: bounds.PointModel) -> None:
+    if model.degenerate:
         raise bounds.DegenerateGradientError(
             "zero gradient: the two-step target is flat here"
         )
-    if coeffs.g1 == 0.0:
-        t1 = _flat_point_t1(t_total)
-    else:
-        t1 = closed_form_t1(coeffs.g1, coeffs.g2, t_total)
-    return AllocationPlan(kind="qubit-time", policy="optimal",
-                          total=float(t_total), t1=t1,
-                          t2=float(t_total) - t1)
 
 
-def numeric_time_split(fn: AnalyticFunction, theta, t_total: float) -> AllocationPlan:
+def _time_plan(policy: str, t_total: float, t1: float) -> AllocationPlan:
+    return AllocationPlan(kind="qubit-time", policy=policy,
+                          total=float(t_total), t1=float(t1),
+                          t2=float(t_total) - float(t1))
+
+
+def _runs_step1(model: bounds.PointModel, t_total: float) -> bool:
+    """Check a time budget for a model-driven split. False for a
+    linear-family target (constant gradient, nothing to localize: t1 = 0);
+    a zero gradient raises."""
+    if not np.isfinite(t_total) or t_total <= 2:
+        raise ValueError("t_total must exceed 2")
+    if model.linear:
+        return False
+    _require_gradient(model)
+    return True
+
+
+def optimal_time_split(model: bounds.PointModel, t_total: float) -> AllocationPlan:
+    """Closed-form optimal split for a time budget; zero-curvature points
+    get t1 = max(1, sqrt(t))."""
+    t1 = 0.0
+    if _runs_step1(model, t_total):
+        if model.g1 == 0.0:
+            t1 = _flat_point_t1(t_total)
+        else:
+            t1 = closed_form_t1(model.g1, model.g2, t_total)
+    return _time_plan("optimal", t_total, t1)
+
+
+def numeric_time_split(model: bounds.PointModel, t_total: float) -> AllocationPlan:
     """Golden-section minimizer of the full three-term MSE over t1.
 
     Independent check on the closed form; agrees with it to fractions of a
     percent whenever t1 << t_total.
     """
-    if not np.isfinite(t_total) or t_total <= 2:
-        raise ValueError("t_total must exceed 2")
-    if fn.family == "linear":
-        return AllocationPlan(kind="qubit-time", policy="numeric",
-                              total=float(t_total), t1=0.0, t2=float(t_total))
-    theta = as_params(theta, fn.dim)
-    coeffs = bounds.time_mse_coefficients(fn, theta)
-    if coeffs.degenerate:
-        raise bounds.DegenerateGradientError(
-            "zero gradient: the two-step target is flat here"
-        )
-    if coeffs.g1 == 0.0 and coeffs.g3 == 0.0:
-        t1 = _flat_point_t1(t_total)
-    else:
-        t1, _ = golden_section_min(
-            lambda x: coeffs.mse_at(x, t_total - x),
-            lo=1e-9 * t_total,
-            hi=(1.0 - 1e-9) * t_total,
-        )
-    return AllocationPlan(kind="qubit-time", policy="numeric",
-                          total=float(t_total), t1=float(t1),
-                          t2=float(t_total - t1))
+    t1 = 0.0
+    if _runs_step1(model, t_total):
+        if model.g1 == 0.0 and model.g3 == 0.0:
+            t1 = _flat_point_t1(t_total)
+        else:
+            t1, _ = golden_section_min(
+                lambda x: model.mse_at(x, t_total - x),
+                lo=1e-9 * t_total,
+                hi=(1.0 - 1e-9) * t_total,
+            )
+    return _time_plan("numeric", t_total, t1)
 
 
 def power_law_time_split(t_total: float, coeff: float, power: float) -> AllocationPlan:
@@ -176,17 +175,13 @@ def power_law_time_split(t_total: float, coeff: float, power: float) -> Allocati
     t1 = coeff * t_total**power
     if not 0 < t1 < t_total:
         raise ValueError("power law puts t1 outside (0, t_total)")
-    return AllocationPlan(kind="qubit-time", policy=f"power:{coeff!r},{power!r}",
-                          total=float(t_total), t1=float(t1),
-                          t2=float(t_total - t1))
+    return _time_plan(f"power:{coeff!r},{power!r}", t_total, t1)
 
 
 def fixed_time_split(t_total: float, t1: float) -> AllocationPlan:
     if not 0 <= t1 < t_total:
         raise ValueError("need 0 <= t1 < t_total")
-    return AllocationPlan(kind="qubit-time", policy=f"fixed:{t1!r}",
-                          total=float(t_total), t1=float(t1),
-                          t2=float(t_total - t1))
+    return _time_plan(f"fixed:{t1!r}", t_total, t1)
 
 
 # -- photon splits -------------------------------------------------------------
@@ -249,49 +244,45 @@ def _round_partition(w: np.ndarray, n1: int) -> tuple:
     return tuple(int(x) for x in counts)
 
 
-def optimal_photon_split(fn: AnalyticFunction, theta, n_total: int) -> AllocationPlan:
+def _photon_plan(policy: str, n_total: int, n1: int, w) -> AllocationPlan:
+    return AllocationPlan(kind="photon-number", policy=policy,
+                          total=float(n_total), n1=n1, n2=n_total - n1,
+                          mode_counts=_round_partition(w, n1))
+
+
+def optimal_photon_split(model: bounds.PointModel, n_total: int) -> AllocationPlan:
     """Photon analogue of the optimal time split.
 
     Effective coefficients: g2_eff = |grad f|_1^2 (step-2 variance scale),
     g1_eff = sum_ij C_ij/(w_i^2 w_j^2) at the optimal step-1 fractions w.
     Then n1 = round((2 g1_eff/g2_eff)^{1/5} N^{3/5}), clamped to [d, N/2];
-    a zero curvature matrix (any linear target) gives n1 = d. The Hessian and
-    the fractions w are computed once and serve n1 and the mode counts alike.
-    This mirrors the time-budget derivation; it is validated against the
-    numeric minimizer in the tests rather than taken from a closed-form
-    source.
+    a zero curvature matrix (any linear target) gives n1 = d. The fractions
+    w are computed once and serve n1 and the mode counts alike. This mirrors
+    the time-budget derivation; it is validated against the numeric
+    minimizer in the tests rather than taken from a closed-form source.
     """
-    theta = as_params(theta, fn.dim)
     n_total = int(n_total)
-    if n_total < 2 * fn.dim:
+    if n_total < 2 * model.dim:
         raise ValueError("photon budget too small to split")
-    g = fn.gradient(theta)
-    g2_eff = float(np.sum(np.abs(g)) ** 2)
-    if g2_eff == 0.0:
-        raise bounds.DegenerateGradientError("zero gradient: nothing to measure")
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-    w = continuous_pairwise_partition(coeffs)
-    if np.all(coeffs == 0.0):
-        n1 = fn.dim
+    _require_gradient(model)
+    w = continuous_pairwise_partition(model.coeffs)
+    if np.all(model.coeffs == 0.0):
+        n1 = model.dim
     else:
-        g1_eff = bounds.photon_residual_coefficient(coeffs, w)
-        raw = (2.0 * g1_eff / g2_eff) ** 0.2 * n_total**0.6
-        n1 = int(round(raw))
-        n1 = min(max(n1, fn.dim), n_total // 2)
-    return AllocationPlan(kind="photon-number", policy="optimal",
-                          total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=_round_partition(w, n1))
+        g1_eff = bounds.photon_residual_coefficient(model.coeffs, w)
+        raw = closed_form_t1(g1_eff, model.one_norm_sq, n_total)
+        n1 = min(max(int(round(raw)), model.dim), n_total // 2)
+    return _photon_plan("optimal", n_total, n1, w)
 
 
-def fixed_photon_split(fn: AnalyticFunction, theta, n_total: int, n1: int) -> AllocationPlan:
+def fixed_photon_split(model: bounds.PointModel, n_total: int,
+                       n1: int) -> AllocationPlan:
     n_total, n1 = int(n_total), int(n1)
-    if not fn.dim <= n1 <= n_total - 1:
+    if not model.dim <= n1 <= n_total - 1:
         raise ValueError("need d <= n1 < n_total")
-    theta = as_params(theta, fn.dim)
-    w = continuous_pairwise_partition(bounds.hessian_quartic_coeffs(fn, theta))
-    return AllocationPlan(kind="photon-number", policy=f"fixed:{n1}",
-                          total=float(n_total), n1=n1, n2=n_total - n1,
-                          mode_counts=_round_partition(w, n1))
+    _require_gradient(model)
+    return _photon_plan(f"fixed:{n1}", n_total, n1,
+                        continuous_pairwise_partition(model.coeffs))
 
 
 def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, float]:
@@ -333,7 +324,7 @@ def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, f
     return n, float(np.sum(a[active] / res.x**2))
 
 
-def predicted_mse(fn: AnalyticFunction, theta, plan: AllocationPlan) -> float:
+def predicted_mse(model: bounds.PointModel, plan: AllocationPlan) -> float:
     """Model prediction of the two-step MSE under a given plan.
 
     Time plans use the three-term expansion. Photon plans use
@@ -341,13 +332,10 @@ def predicted_mse(fn: AnalyticFunction, theta, plan: AllocationPlan) -> float:
     counts; the cross term of order 1/(n1^2 n2^2) is not modeled, so photon
     predictions approach the truth from below by that amount.
     """
-    theta = as_params(theta, fn.dim)
     if plan.kind == "qubit-time":
-        return bounds.time_mse_coefficients(fn, theta).mse_at(plan.t1, plan.t2)
-    g = fn.gradient(theta)
-    step2 = float(np.sum(np.abs(g)) ** 2) / plan.n2**2
+        return model.mse_at(plan.t1, plan.t2)
+    step2 = model.one_norm_sq / plan.n2**2
     if plan.n1 == 0:
         return step2
     var = count_variances(np.asarray(plan.mode_counts, dtype=float))
-    coeffs = bounds.hessian_quartic_coeffs(fn, theta)
-    return step2 + float(var @ coeffs @ var)
+    return step2 + float(var @ model.coeffs @ var)

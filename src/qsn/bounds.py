@@ -33,6 +33,10 @@ expanding E[f_j*(estimate)^2] at the fixed index j*; when two components of
 the gradient (nearly) tie, that expansion undershoots the true expectation of
 the max by a term of order s (see experiment.step2_floor_inflation, which
 measures it).
+
+All of these read the same few derivatives at one point: ``point_model``
+evaluates them once into a ``PointModel``, and the bounds here, the splits
+and predictions in ``allocation`` are pure functions of it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import AnalyticFunction, argmax_grad_index, as_params
+from .functions import AnalyticFunction, EvaluationError, as_params
 
 # Condition-number ceiling for basis Jacobians; beyond this the seminorm is
 # numerically meaningless.
@@ -81,11 +85,94 @@ def two_thirds_norm_sq(v) -> float:
     return float(np.sum(np.abs(v) ** (2.0 / 3.0)) ** 3)
 
 
-def qubit_bounds(fn: AnalyticFunction, theta, time: float) -> BoundReport:
+def quartic_coeffs(h: np.ndarray) -> np.ndarray:
+    """Matrix C with C_ij = (2 f_ij^2 + f_ii f_jj)/4 from a Hessian h.
+
+    sum_ij C_ij s_i^2 s_j^2 is the second-order contribution to the two-step
+    MSE for first-step variances s_i^2; the diagonal reproduces the Gaussian
+    fourth moment (C_ii s_i^4 = 3 f_ii^2 s_i^4 / 4).
+    """
+    return (2.0 * h * h + np.outer(np.diag(h), np.diag(h))) / 4.0
+
+
+@dataclass(frozen=True, eq=False)
+class PointModel:
+    """The derivatives of f at one point that the two-step protocol's plans,
+    predictions and bounds read, each evaluated once by ``point_model``.
+
+    ``argmax_index`` is j*, the lowest index among the largest |f_j|;
+    ``degenerate`` marks an all-zero gradient, where j* reads 0 and means
+    nothing. ``third_slice`` is f_{j*,i,i}, ``coeffs`` the quartic matrix
+    C_ij = (2 f_ij^2 + f_ii f_jj)/4, and g1, g2, g3 the coefficients of
+    MSE(t1, t2) = g2/t2^2 + g3/(t1^2 t2^2) + g1/t1^4. ``linear`` marks a
+    target of the linear family, whose gradient is the same everywhere.
+    """
+
+    linear: bool
+    gradient: np.ndarray
+    argmax_index: int
+    degenerate: bool
+    hessian: np.ndarray
+    third_slice: np.ndarray
+    coeffs: np.ndarray
+    g1: float
+    g2: float
+    g3: float
+
+    @property
+    def dim(self) -> int:
+        return self.gradient.shape[0]
+
+    @property
+    def one_norm_sq(self) -> float:
+        """|grad f|_1^2: the photon entangled bound's and step-2 variance's
+        scale."""
+        return float(np.sum(np.abs(self.gradient)) ** 2)
+
+    def mse_at(self, t1: float, t2: float) -> float:
+        if t2 <= 0:
+            raise ValueError("t2 must be positive")
+        step2 = self.g2 / t2**2
+        if t1 == 0.0:
+            if self.g1 != 0.0 or self.g3 != 0.0:
+                raise ValueError("t1 = 0 only valid for curvature-free functions")
+            return step2
+        if t1 < 0:
+            raise ValueError("t1 must be nonnegative")
+        return step2 + self.g3 / (t1**2 * t2**2) + self.g1 / t1**4
+
+
+def point_model(fn: AnalyticFunction, theta) -> PointModel:
+    """Evaluate f's gradient, Hessian and third slice at j* once, and derive
+    the rest of the ``PointModel`` from them.
+
+    Every derivative is taken, whatever the caller goes on to read, so a
+    non-finite one raises ``EvaluationError`` here; so do coefficients that
+    overflow.
+    """
+    theta = as_params(theta, fn.dim)
+    g = fn.gradient(theta)
+    # ties, an all-zero gradient included, go to the lowest index
+    j_star = int(np.argmax(np.abs(g)))
+    h = fn.hessian(theta)
+    third = fn.third_diag_slice(theta, j_star)
+    coeffs = quartic_coeffs(h)
+    g1 = float(coeffs.sum())
+    g2 = float(g[j_star] ** 2)
+    g3 = float(g[j_star] * np.sum(third) + np.sum(h[j_star] ** 2))
+    if not np.all(np.isfinite([g1, g2, g3])):
+        raise EvaluationError(f"non-finite error-model coefficients of {fn.label}")
+    return PointModel(linear=fn.family == "linear", gradient=g,
+                      argmax_index=j_star, degenerate=bool(np.all(g == 0.0)),
+                      hessian=h,
+                      third_slice=third, coeffs=coeffs, g1=g1, g2=g2, g3=g3)
+
+
+def qubit_bounds(model: PointModel, time: float) -> BoundReport:
     """Time-resource bounds: max_j f_j^2/t^2 vs |grad f|^2/t^2."""
     if not np.isfinite(time) or time <= 0:
         raise ValueError("time must be positive and finite")
-    g = fn.gradient(as_params(theta, fn.dim))
+    g = model.gradient
     gmax_sq = float(np.max(g * g))
     gnorm_sq = float(np.sum(g * g))
     degenerate = gmax_sq == 0.0
@@ -100,13 +187,12 @@ def qubit_bounds(fn: AnalyticFunction, theta, time: float) -> BoundReport:
     )
 
 
-def photon_bounds(fn: AnalyticFunction, theta, photons: float) -> BoundReport:
+def photon_bounds(model: PointModel, photons: float) -> BoundReport:
     """Photon-resource bounds: |grad f|_1^2/N^2 vs |grad f|_{2/3}^2/N^2."""
     if not np.isfinite(photons) or photons <= 0:
         raise ValueError("photon number must be positive and finite")
-    g = fn.gradient(as_params(theta, fn.dim))
-    one_sq = float(np.sum(np.abs(g)) ** 2)
-    tt_sq = two_thirds_norm_sq(g)
+    one_sq = model.one_norm_sq
+    tt_sq = two_thirds_norm_sq(model.gradient)
     degenerate = one_sq == 0.0
     ratio = 1.0 if degenerate else tt_sq / one_sq
     return BoundReport(
@@ -120,12 +206,12 @@ def photon_bounds(fn: AnalyticFunction, theta, photons: float) -> BoundReport:
     )
 
 
-def for_budget(fn: AnalyticFunction, theta, budget) -> BoundReport:
+def for_budget(model: PointModel, budget) -> BoundReport:
     """``qubit_bounds`` or ``photon_bounds``, by the kind of a
     ``protocol.ResourceBudget``."""
     if budget.kind == "qubit-time":
-        return qubit_bounds(fn, theta, budget.amount)
-    return photon_bounds(fn, theta, int(budget.amount))
+        return qubit_bounds(model, budget.amount)
+    return photon_bounds(model, int(budget.amount))
 
 
 def seminorm_for_basis(jacobian) -> float:
@@ -147,7 +233,7 @@ def seminorm_for_basis(jacobian) -> float:
     return float(np.sum(np.abs(first_col)))
 
 
-def coordinate_basis(fn: AnalyticFunction, theta) -> np.ndarray:
+def coordinate_basis(model: PointModel) -> np.ndarray:
     """Basis Jacobian achieving the seminorm optimum: row 0 is grad f, the
     other rows are coordinate directions for every index except j*.
 
@@ -155,81 +241,18 @@ def coordinate_basis(fn: AnalyticFunction, theta) -> np.ndarray:
     suite's seminorm check, where ``seminorm_for_basis`` of this basis must
     meet the 1/max_i |f_i| lower bound with equality.
     """
-    theta = as_params(theta, fn.dim)
-    g = fn.gradient(theta)
-    j_star, degenerate = argmax_grad_index(fn, theta)
-    if degenerate:
+    if model.degenerate:
         raise DegenerateGradientError("zero gradient admits no optimal basis")
-    rows = [g]
-    for i in range(fn.dim):
-        if i != j_star:
-            rows.append(np.eye(fn.dim)[i])
+    rows = [model.gradient]
+    for i in range(model.dim):
+        if i != model.argmax_index:
+            rows.append(np.eye(model.dim)[i])
     return np.stack(rows)
-
-
-def hessian_quartic_coeffs(fn: AnalyticFunction, theta) -> np.ndarray:
-    """Matrix C with C_ij = (2 f_ij^2 + f_ii f_jj)/4.
-
-    sum_ij C_ij s_i^2 s_j^2 is the second-order contribution to the two-step
-    MSE for first-step variances s_i^2; the diagonal reproduces the Gaussian
-    fourth moment (C_ii s_i^4 = 3 f_ii^2 s_i^4 / 4).
-    """
-    return quartic_coeffs(fn.hessian(as_params(theta, fn.dim)))
-
-
-def quartic_coeffs(h: np.ndarray) -> np.ndarray:
-    """The matrix of ``hessian_quartic_coeffs`` from a Hessian in hand."""
-    return (2.0 * h * h + np.outer(np.diag(h), np.diag(h))) / 4.0
-
-
-@dataclass(frozen=True)
-class TwoStepCoefficients:
-    """Coefficients of MSE(t1, t2) = g2/t2^2 + g3/(t1^2 t2^2) + g1/t1^4."""
-
-    g1: float
-    g2: float
-    g3: float
-    argmax_index: int
-    degenerate: bool
-
-    def mse_at(self, t1: float, t2: float) -> float:
-        if t2 <= 0:
-            raise ValueError("t2 must be positive")
-        step2 = self.g2 / t2**2
-        if t1 == 0.0:
-            if self.g1 != 0.0 or self.g3 != 0.0:
-                raise ValueError("t1 = 0 only valid for curvature-free functions")
-            return step2
-        if t1 < 0:
-            raise ValueError("t1 must be nonnegative")
-        return step2 + self.g3 / (t1**2 * t2**2) + self.g1 / t1**4
-
-
-def time_mse_coefficients(fn: AnalyticFunction, theta) -> TwoStepCoefficients:
-    """Expansion coefficients of the two-step time MSE at a point.
-
-    The degenerate flag marks a zero gradient (g2 = 0, entangled bound
-    collapses); coefficients are still returned so callers can inspect the
-    curvature terms.
-    """
-    theta = as_params(theta, fn.dim)
-    g = fn.gradient(theta)
-    j_star, degenerate = argmax_grad_index(fn, theta)
-    h = fn.hessian(theta)
-    g2 = float(g[j_star] ** 2)
-    g3 = float(
-        g[j_star] * np.sum(fn.third_diag_slice(theta, j_star))
-        + np.sum(h[j_star] ** 2)
-    )
-    g1 = float(quartic_coeffs(h).sum())
-    return TwoStepCoefficients(
-        g1=g1, g2=g2, g3=g3, argmax_index=j_star, degenerate=degenerate
-    )
 
 
 def photon_residual_coefficient(coeffs: np.ndarray, fractions) -> float:
     """Curvature coefficient sum_ij C_ij / (w_i^2 w_j^2) of the quartic
-    coefficients ``coeffs`` (``hessian_quartic_coeffs``) for a photon step-1
+    coefficients ``coeffs`` (``PointModel.coeffs``) for a photon step-1
     split with mode fractions w (sum w = 1); dividing by N1^4 gives the
     second-order MSE term."""
     w = np.asarray(fractions, dtype=float)

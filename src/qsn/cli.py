@@ -206,7 +206,7 @@ def _emit_records(args, records, seed: int) -> None:
 def _cmd_bounds(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
-    rep = bounds.for_budget(fn, theta, _budget_from(args))
+    rep = bounds.for_budget(bounds.point_model(fn, theta), _budget_from(args))
     _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,
@@ -268,8 +268,9 @@ def _cmd_allocate(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
     budget = _budget_from(args)
-    plan = build_plan(fn, theta, budget, _check_policy(args.alloc, budget.kind))
-    predicted = allocation.predicted_mse(fn, theta, plan)
+    model = bounds.point_model(fn, theta)
+    plan = build_plan(model, budget, _check_policy(args.alloc, budget.kind))
+    predicted = allocation.predicted_mse(model, plan)
     _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,

@@ -56,9 +56,11 @@ class ExperimentConfig:
         as_params(self.theta, self.function.dim)
 
     def resolved_plan(self) -> allocation.AllocationPlan:
+        """The given plan, or else the policy's plan at this point."""
         if self.plan is not None:
             return self.plan
-        return build_plan(self.function, self.theta, self.budget, self.policy)
+        return build_plan(bounds.point_model(self.function, self.theta),
+                          self.budget, self.policy)
 
     def with_resource(self, amount: float) -> "ExperimentConfig":
         """Same experiment at a different budget; an explicit plan is
@@ -345,18 +347,6 @@ class SweepRecord:
     ms_elapsed: float
 
 
-def _prediction_and_bound(config: ExperimentConfig) -> tuple[float, float]:
-    """Model prediction for the configured protocol and the entangled lower
-    bound, both from analytic formulas only."""
-    fn, theta = config.function, config.theta
-    report = bounds.for_budget(fn, theta, config.budget)
-    if config.protocol == "two-step":
-        predicted = allocation.predicted_mse(fn, theta, config.resolved_plan())
-    else:
-        predicted = report.unentangled_baseline
-    return predicted, report.entangled_bound
-
-
 def check_grid(kind: str, grid) -> list:
     """The grid as floats; raises ValueError unless it is strictly
     increasing and every point is a valid budget of ``kind``."""
@@ -374,20 +364,24 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
 
     Grid point i draws from stream index i, so points are independent and
     the whole sweep is reproducible from the master seed alone. The whole
-    grid is checked before the first point runs. A two-step point resolves
-    its plan once, for the run and the prediction alike.
+    grid is checked before the first point runs. Theta is the same at every
+    point, so one ``bounds.point_model`` serves the whole grid: each
+    two-step point's plan (used for the run and the prediction alike), each
+    prediction and each bound are read from it.
     """
     grid = check_grid(config.budget.kind, grid)
+    model = bounds.point_model(config.function, config.theta)
+    two_step = config.protocol == "two-step"
     records = []
     for i, amount in enumerate(grid):
         cfg = config.with_resource(amount)
         t0 = time.perf_counter()
-        if cfg.protocol == "two-step":
-            cfg = replace(cfg, plan=cfg.resolved_plan())
+        if two_step:
+            cfg = replace(cfg, plan=build_plan(model, cfg.budget, cfg.policy))
         est = estimate_mse(cfg, trials, master_seed, threads=threads,
                            stream_index=i)
         ms = (time.perf_counter() - t0) * 1e3
-        predicted, bound = _prediction_and_bound(cfg)
+        report = bounds.for_budget(model, cfg.budget)
         records.append(SweepRecord(
             protocol=cfg.protocol,
             function=cfg.function.label,
@@ -398,8 +392,9 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
             mse=est.mse,
             mse_se=est.se,
             bias=est.bias,
-            predicted_mse=predicted,
-            bound=bound,
+            predicted_mse=(allocation.predicted_mse(model, cfg.plan) if two_step
+                           else report.unentangled_baseline),
+            bound=report.entangled_bound,
             seed=master_seed,
             ms_elapsed=ms,
         ))

@@ -222,18 +222,6 @@ class AnalyticFunction:
         return hess
 
 
-def argmax_grad_index(fn: AnalyticFunction, theta) -> tuple[int, bool]:
-    """Index of the largest |gradient component| and a degeneracy flag.
-
-    Ties go to the lowest index. A zero gradient returns index 0 with the
-    flag set; callers must check the flag before trusting the index.
-    """
-    g = np.abs(fn.gradient(theta))
-    if np.all(g == 0.0):
-        return 0, True
-    return int(np.argmax(g)), False
-
-
 def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
     """Max abs deviation between a closed-form derivative rule and a central
     finite-difference estimate built from the value rule alone.

@@ -17,12 +17,12 @@ evaluating F afterwards is not offered.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import bounds
+from . import bounds, experiment
 from .allocation import predicted_mse
 from .experiment import ExperimentConfig, MSEEstimate, estimate_mse
 from .functions import AnalyticFunction, EvaluationError, as_params
@@ -359,8 +359,10 @@ def run_interpolation(ansatz: Ansatz, true_params, layout: SensorLayout,
     true_params = as_params(true_params, ansatz.param_dim)
     theta_true = forward_readings(ansatz, true_params, layout)
     fn = induced_function(ansatz, layout, true_params)
-    cfg = ExperimentConfig(function=fn, theta=tuple(theta_true), budget=budget)
-    cfg = replace(cfg, plan=cfg.resolved_plan())
+    model = bounds.point_model(fn, theta_true)
+    plan = experiment.build_plan(model, budget)
+    cfg = ExperimentConfig(function=fn, theta=tuple(theta_true), budget=budget,
+                           plan=plan)
     two_step = estimate_mse(cfg, trials, seed, threads=threads, stream_index=0)
     baseline_cfg = ExperimentConfig(function=fn, theta=tuple(theta_true),
                                     budget=budget, protocol="unentangled")
@@ -370,6 +372,6 @@ def run_interpolation(ansatz: Ansatz, true_params, layout: SensorLayout,
         truth=float(ansatz.field(true_params, np.array([layout.target]))[0]),
         two_step=two_step,
         unentangled=unentangled,
-        bound_report=bounds.for_budget(fn, theta_true, budget),
-        predicted_two_step=predicted_mse(fn, theta_true, cfg.plan),
+        bound_report=bounds.for_budget(model, budget),
+        predicted_two_step=predicted_mse(model, plan),
     )

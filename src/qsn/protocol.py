@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import allocation
+from . import allocation, bounds
 from .functions import (AnalyticFunction, EvaluationError, as_params,
                         fold_columns, rowwise)
-from .measurement import _generator, count_variances, sample_param_estimates
+from .measurement import (_generator, count_variances, largest_remainder,
+                          sample_param_estimates)
 
 # Step-2 weights below this size (relative to the function scale) are treated
 # as an exact critical point: the combination carries no signal, so the
@@ -72,22 +73,22 @@ def parse_policy(policy: str, kind: str) -> tuple[str, tuple]:
     raise ValueError(f"invalid {'time' if time else 'photon'} policy {policy!r}")
 
 
-def build_plan(fn: AnalyticFunction, theta, budget: ResourceBudget,
+def build_plan(model: bounds.PointModel, budget: ResourceBudget,
                policy: str = "optimal") -> allocation.AllocationPlan:
-    """Resolve a policy string (see ``parse_policy``) into a concrete split."""
-    theta = as_params(theta, fn.dim)
+    """Resolve a policy string (see ``parse_policy``) into a concrete split
+    at the point ``model`` describes."""
     name, args = parse_policy(policy, budget.kind)
     if budget.kind == "qubit-time":
         if name == "optimal":
-            return allocation.optimal_time_split(fn, theta, budget.amount)
+            return allocation.optimal_time_split(model, budget.amount)
         if name == "numeric":
-            return allocation.numeric_time_split(fn, theta, budget.amount)
+            return allocation.numeric_time_split(model, budget.amount)
         if name == "power":
             return allocation.power_law_time_split(budget.amount, *args)
         return allocation.fixed_time_split(budget.amount, *args)
     if name == "optimal":
-        return allocation.optimal_photon_split(fn, theta, int(budget.amount))
-    return allocation.fixed_photon_split(fn, theta, int(budget.amount), *args)
+        return allocation.optimal_photon_split(model, int(budget.amount))
+    return allocation.fixed_photon_split(model, int(budget.amount), *args)
 
 
 def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
@@ -176,7 +177,7 @@ def _pilot_stage(dim: int, n_total: int,
     n_pilot = max(dim, int(round(pilot_fraction * n_total)))
     if n_pilot >= n_total:
         raise ValueError("pilot stage consumes the whole budget")
-    counts = allocation.largest_remainder(np.ones(dim), n_pilot)
+    counts = largest_remainder(np.ones(dim), n_pilot)
     return 1.0 / counts.astype(float) ** 2, n_total - n_pilot
 
 
@@ -190,7 +191,7 @@ def _photon_variances(g: np.ndarray, photons: int) -> np.ndarray:
     no photons and stay at the prior."""
     if np.any(np.all(g == 0.0, axis=-1)):
         raise ValueError(_ZERO_GRADIENT)
-    counts = allocation.largest_remainder(np.abs(g) ** (2.0 / 3.0), photons)
+    counts = largest_remainder(np.abs(g) ** (2.0 / 3.0), photons)
     return count_variances(counts)
 
 

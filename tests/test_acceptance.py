@@ -108,10 +108,11 @@ def test_criterion_2_advantage_scales_with_d():
         theta = tuple([1.0] * d)
         budget = ResourceBudget("qubit-time", 1e4)
         cfg = ExperimentConfig(fn, theta, budget)
-        rep = bounds.qubit_bounds(fn, theta, budget.amount)
+        point = bounds.point_model(fn, theta)
+        rep = bounds.qubit_bounds(point, budget.amount)
         assert rep.advantage_ratio == pytest.approx(d, rel=1e-12)
         model[d] = rep.unentangled_baseline / al.predicted_mse(
-            fn, theta, cfg.resolved_plan())
+            point, cfg.resolved_plan())
         assert model[d] == pytest.approx(frozen_model[d], rel=1e-6)
         two = ex.estimate_mse(cfg, 200000, MASTER_SEED, stream_index=0)
         un = ex.estimate_mse(
@@ -188,7 +189,8 @@ def test_criterion_4_parity_fisher_information():
 
 def test_criterion_5_allocation_optimality():
     # frozen closed-form split for the product target at t_total = 1e4
-    plan = al.optimal_time_split(fns.product(2), (1.0, 1.0), 1e4)
+    plan = al.optimal_time_split(
+        bounds.point_model(fns.product(2), (1.0, 1.0)), 1e4)
     assert plan.t1 == pytest.approx(288.53998118144267, rel=1e-12)
 
     rng = np.random.default_rng(MASTER_SEED)
@@ -198,12 +200,11 @@ def test_criterion_5_allocation_optimality():
     for _ in range(20):
         d = int(rng.integers(2, 5))
         fn, theta = random_quadratic(rng, d)
-        closed = al.predicted_mse(fn, theta, al.optimal_time_split(
-            fn, theta, 1e4))
-        oracle = al.predicted_mse(fn, theta, al.numeric_time_split(
-            fn, theta, 1e4))
+        point = bounds.point_model(fn, theta)
+        closed = al.predicted_mse(point, al.optimal_time_split(point, 1e4))
+        oracle = al.predicted_mse(point, al.numeric_time_split(point, 1e4))
         worst_gap = max(worst_gap, closed / oracle - 1.0)
-        t1s = [al.optimal_time_split(fn, theta, t).t1 for t in grid]
+        t1s = [al.optimal_time_split(point, t).t1 for t in grid]
         slope = np.polyfit(np.log(grid), np.log(t1s), 1)[0]
         worst_slope = max(worst_slope, abs(slope - 0.600))
     gap_ok = worst_gap <= 1e-3
@@ -218,7 +219,7 @@ def test_criterion_5_allocation_optimality():
 
 def test_criterion_6_photon_norms():
     fn = fns.linear([1.0, 8.0])
-    rep = bounds.photon_bounds(fn, (0.0, 0.0), 100)
+    rep = bounds.photon_bounds(bounds.point_model(fn, (0.0, 0.0)), 100)
     counts, objective = al.min_weighted_inverse_square(
         np.array([1.0, 64.0]), 100)
     integer_counts = ms.largest_remainder(
@@ -307,13 +308,14 @@ def test_criterion_9_invariant_suites():
             fn = fns.linear(rng.uniform(-2.0, 2.0, size=d))
             theta = rng.uniform(-1.0, 1.0, size=d)
         t = float(rng.uniform(5.0, 1e4))
-        rep = bounds.qubit_bounds(fn, theta, t)
+        point = bounds.point_model(fn, theta)
+        rep = bounds.qubit_bounds(point, t)
         if rep.degenerate:
             continue
         assert rep.entangled_bound <= rep.unentangled_baseline * (1 + 1e-12)
         assert 1.0 - 1e-12 <= rep.advantage_ratio <= d + 1e-12
         n = int(rng.integers(10, 10000))
-        prep = bounds.photon_bounds(fn, theta, n)
+        prep = bounds.photon_bounds(point, n)
         assert prep.conjectured
         assert prep.entangled_bound <= prep.unentangled_baseline * (1 + 1e-12)
         assert 1.0 - 1e-12 <= prep.advantage_ratio <= d + 1e-12
@@ -332,7 +334,8 @@ def test_criterion_9_invariant_suites():
         assert s >= 1.0 / np.max(np.abs(basis[0])) - 1e-9
         grad = rng.uniform(-3.0, 3.0, size=d)
         if np.max(np.abs(grad)) > 1e-6:
-            cb = bounds.coordinate_basis(fns.linear(grad), np.zeros(d))
+            cb = bounds.coordinate_basis(
+                bounds.point_model(fns.linear(grad), np.zeros(d)))
             assert bounds.seminorm_for_basis(cb) == pytest.approx(
                 1.0 / np.max(np.abs(grad)), rel=1e-9)
     assert checked > 900
@@ -368,12 +371,13 @@ def test_criterion_9_invariant_suites():
         d = int(rng.integers(2, 5))
         fn, theta = random_quadratic(rng, d)
         t = float(rng.uniform(10.0, 1e5))
-        plan = al.optimal_time_split(fn, theta, t)
+        point = bounds.point_model(fn, theta)
+        plan = al.optimal_time_split(point, t)
         assert plan.t1 + plan.t2 == pytest.approx(t, abs=1e-9)
         assert 0.0 <= plan.t1 <= t / 2
         if i % 10 == 0:
             n = int(rng.integers(4 * d, 2000))
-            pplan = al.optimal_photon_split(fn, theta, n)
+            pplan = al.optimal_photon_split(point, n)
             assert pplan.n1 + pplan.n2 == n
             assert sum(pplan.mode_counts) == pplan.n1
             assert pplan.n1 >= d

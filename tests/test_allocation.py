@@ -30,7 +30,8 @@ def test_plan_budget_invariants():
     assert plan.t1 + plan.t2 == pytest.approx(100.0)
     assert plan.policy == "fixed:12.5"
 
-    plan = al.fixed_photon_split(fns.product(2), [1.0, 1.0], 100, 10)
+    plan = al.fixed_photon_split(
+        bounds.point_model(fns.product(2), [1.0, 1.0]), 100, 10)
     assert plan.n1 + plan.n2 == 100
     assert sum(plan.mode_counts) == plan.n1
 
@@ -54,23 +55,24 @@ def test_closed_form_t1_example():
 
 
 def test_optimal_time_split_examples():
-    f = fns.product(2)
-    theta = [1.0, 1.0]
-    plan = al.optimal_time_split(f, theta, 1e4)
+    model = bounds.point_model(fns.product(2), [1.0, 1.0])
+    plan = al.optimal_time_split(model, 1e4)
     assert plan.t1 == pytest.approx(288.53998118144267)
     assert plan.t1 + plan.t2 == pytest.approx(1e4)
 
     # step-1 fraction decreases toward zero with the budget
-    fracs = [al.optimal_time_split(f, theta, t).t1 / t for t in (1e3, 1e4, 1e5)]
+    fracs = [al.optimal_time_split(model, t).t1 / t for t in (1e3, 1e4, 1e5)]
     np.testing.assert_allclose(fracs, [0.0725, 0.02885, 0.01149], rtol=2e-3)
     assert fracs[0] > fracs[1] > fracs[2]
 
     # constant gradient: no curvature to correct, skip step 1 entirely
-    plan = al.optimal_time_split(fns.linear([3.0, 4.0]), [0.0, 0.0], 1e4)
+    plan = al.optimal_time_split(
+        bounds.point_model(fns.linear([3.0, 4.0]), [0.0, 0.0]), 1e4)
     assert plan.t1 == 0.0 and plan.t2 == pytest.approx(1e4)
 
     with pytest.raises(bounds.DegenerateGradientError):
-        al.optimal_time_split(fns.quadratic(np.eye(2)), [0.0, 0.0], 1e4)
+        al.optimal_time_split(
+            bounds.point_model(fns.quadratic(np.eye(2)), [0.0, 0.0]), 1e4)
 
 
 def test_flat_point_uses_sqrt_budget():
@@ -83,14 +85,14 @@ def test_flat_point_uses_sqrt_budget():
         lambda th: np.array([th[0] ** 2 + 1.0]),
         lambda th: np.array([[2.0 * th[0]]]),
     )
-    c = bounds.time_mse_coefficients(f, [0.0])
+    c = bounds.point_model(f, [0.0])
     assert c.g1 == pytest.approx(0.0, abs=1e-9)
     assert c.g3 == pytest.approx(2.0, rel=1e-6)
-    plan = al.optimal_time_split(f, [0.0], 1e4)
+    plan = al.optimal_time_split(c, 1e4)
     assert plan.t1 == pytest.approx(100.0)
     # the numeric oracle is free to do better than the sqrt heuristic; it
     # settles on the interior stationary point of g2/t2^2 + g3/(t1 t2)^2
-    plan = al.numeric_time_split(f, [0.0], 1e4)
+    plan = al.numeric_time_split(c, 1e4)
     assert 1.0 < plan.t1 < 1000.0
     assert c.mse_at(plan.t1, plan.t2) <= c.mse_at(100.0, 1e4 - 100.0)
 
@@ -98,9 +100,9 @@ def test_flat_point_uses_sqrt_budget():
 def test_numeric_oracle_brackets_closed_form():
     f = fns.product(2)
     theta = [1.0, 1.0]
-    c = bounds.time_mse_coefficients(f, theta)
-    closed = al.optimal_time_split(f, theta, 1e4)
-    numeric = al.numeric_time_split(f, theta, 1e4)
+    c = bounds.point_model(f, theta)
+    closed = al.optimal_time_split(c, 1e4)
+    numeric = al.numeric_time_split(c, 1e4)
     m_closed = c.mse_at(closed.t1, closed.t2)
     m_numeric = c.mse_at(numeric.t1, numeric.t2)
     assert m_numeric <= m_closed <= 1.001 * m_numeric
@@ -109,7 +111,8 @@ def test_numeric_oracle_brackets_closed_form():
         t1 = numeric.t1 * bump
         assert c.mse_at(t1, 1e4 - t1) >= m_numeric
 
-    plan = al.numeric_time_split(fns.linear([1.0, 2.0]), [0.0, 0.0], 1e4)
+    plan = al.numeric_time_split(
+        bounds.point_model(fns.linear([1.0, 2.0]), [0.0, 0.0]), 1e4)
     assert plan.t1 == 0.0
 
 
@@ -120,11 +123,11 @@ def test_closed_form_matches_oracle_random_battery():
     for _ in range(20):
         d = int(rng.integers(2, 5))
         f, theta = random_quadratic(rng, d)
-        c = bounds.time_mse_coefficients(f, theta)
+        c = bounds.point_model(f, theta)
         gaps = []
         for t in (1e3, 1e4, 1e5):
-            closed = al.optimal_time_split(f, theta, t)
-            numeric = al.numeric_time_split(f, theta, t)
+            closed = al.optimal_time_split(c, t)
+            numeric = al.numeric_time_split(c, t)
             m_c = c.mse_at(closed.t1, closed.t2)
             m_n = c.mse_at(numeric.t1, numeric.t2)
             assert m_n <= m_c * (1 + 1e-12)
@@ -150,7 +153,7 @@ def test_power_law_mse_limit():
     # The excess over the limit decays like t^(p-1), slowest for p near 1.
     f = fns.product(2)
     theta = [1.0, 1.0]
-    c = bounds.time_mse_coefficients(f, theta)
+    c = bounds.point_model(f, theta)
     for coeff, power in ((1.0, 0.7), (3.0, 0.55), (0.5, 0.9)):
         ratios = []
         for t in 10.0 ** np.arange(4, 11):
@@ -164,20 +167,22 @@ def test_power_law_mse_limit():
 
 
 def partition(f, theta):
-    return al.continuous_pairwise_partition(bounds.hessian_quartic_coeffs(f, theta))
+    return al.continuous_pairwise_partition(bounds.point_model(f, theta).coeffs)
 
 
 def test_pairwise_partition_product_symmetry():
     f, theta = fns.product(2), [1.0, 1.0]
     np.testing.assert_allclose(partition(f, theta), [0.5, 0.5], atol=1e-9)
-    assert al.fixed_photon_split(f, theta, 20, 10).mode_counts == (5, 5)
+    model = bounds.point_model(f, theta)
+    assert al.fixed_photon_split(model, 20, 10).mode_counts == (5, 5)
 
 
 def test_pairwise_partition_linear_uniform_fallback():
     f, theta = fns.linear([1.0, 2.0]), [0.0, 0.0]
-    assert np.all(bounds.hessian_quartic_coeffs(f, theta) == 0.0)
+    model = bounds.point_model(f, theta)
+    assert np.all(model.coeffs == 0.0)
     np.testing.assert_array_equal(partition(f, theta), [0.5, 0.5])
-    assert al.fixed_photon_split(f, theta, 20, 8).mode_counts == (4, 4)
+    assert al.fixed_photon_split(model, 20, 8).mode_counts == (4, 4)
 
 
 @pytest.mark.filterwarnings("ignore:Values in x:RuntimeWarning")
@@ -187,7 +192,7 @@ def test_pairwise_partition_matches_constrained_oracle():
     for _ in range(5):
         d = int(rng.integers(2, 5))
         f, theta = random_quadratic(rng, d)
-        coeffs = bounds.hessian_quartic_coeffs(f, theta)
+        coeffs = bounds.point_model(f, theta).coeffs
         if coeffs.sum() < 1e-9:
             continue
         w = al.continuous_pairwise_partition(coeffs)
@@ -208,41 +213,44 @@ def test_pairwise_partition_matches_constrained_oracle():
 
 def test_partition_requires_enough_photons_and_promotes_zeros():
     with pytest.raises(ValueError):
-        al.fixed_photon_split(fns.product(2), [1.0, 1.0], 100, 1)
+        al.fixed_photon_split(
+            bounds.point_model(fns.product(2), [1.0, 1.0]), 100, 1)
     # strongly lopsided curvature: every mode still gets at least one photon
     f = fns.quadratic(np.diag([50.0, 1e-4, 1e-4]))
-    counts = al.fixed_photon_split(f, [1.0, 1.0, 1.0], 100, 3).mode_counts
+    model = bounds.point_model(f, [1.0, 1.0, 1.0])
+    counts = al.fixed_photon_split(model, 100, 3).mode_counts
     assert counts == (1, 1, 1)
 
 
 def test_optimal_photon_split_examples():
-    f = fns.product(2)
-    theta = [1.0, 1.0]
-    plan = al.optimal_photon_split(f, theta, 1000)
+    model = bounds.point_model(fns.product(2), [1.0, 1.0])
+    plan = al.optimal_photon_split(model, 1000)
     assert plan.n1 == 96
     assert plan.n1 + plan.n2 == 1000
     assert sum(plan.mode_counts) == plan.n1
 
-    fracs = [al.optimal_photon_split(f, theta, n).n1 / n for n in (10**3, 10**4, 10**5)]
+    fracs = [al.optimal_photon_split(model, n).n1 / n
+             for n in (10**3, 10**4, 10**5)]
     assert fracs[0] > fracs[1] > fracs[2]
 
-    plan = al.optimal_photon_split(fns.linear([1.0, 2.0]), [0.0, 0.0], 100)
+    plan = al.optimal_photon_split(
+        bounds.point_model(fns.linear([1.0, 2.0]), [0.0, 0.0]), 100)
     assert plan.n1 == 2 and plan.n2 == 98
 
     # predicted MSE * N^2 approaches |grad f|_1^2 = 4 from above
-    vals = [al.predicted_mse(f, theta, al.optimal_photon_split(f, theta, n)) * n * n
+    vals = [al.predicted_mse(model, al.optimal_photon_split(model, n)) * n * n
             for n in (10**3, 10**4, 10**5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(v > 4.0 for v in vals)
     assert vals[-1] == pytest.approx(4.0, rel=0.2)
 
     with pytest.raises(ValueError):
-        al.optimal_photon_split(f, theta, 3)
+        al.optimal_photon_split(model, 3)
 
 
 def test_optimal_photon_split_computes_hessian_and_partition_once(monkeypatch):
     base, theta = fns.product(4), [0.8, 1.0, 1.3, 1.6]
-    expected = al.optimal_photon_split(base, theta, 10**5)
+    expected = al.optimal_photon_split(bounds.point_model(base, theta), 10**5)
     hessians, partitions = [], []
 
     def hess_rule(p):
@@ -256,14 +264,15 @@ def test_optimal_photon_split_computes_hessian_and_partition_once(monkeypatch):
     original = al.continuous_pairwise_partition
     monkeypatch.setattr(al, "continuous_pairwise_partition", partition)
     fn = dataclasses.replace(base, hess_rule=hess_rule)
-    assert al.optimal_photon_split(fn, theta, 10**5) == expected
+    assert al.optimal_photon_split(bounds.point_model(fn, theta), 10**5) == expected
     assert (len(hessians), len(partitions)) == (1, 1)
 
 
 def test_only_a_zero_t1_time_plan_skips_step1():
     assert al.fixed_time_split(100.0, 0.0).step1_free
     assert not al.fixed_time_split(100.0, 30.0).step1_free
-    plan = al.optimal_photon_split(fns.linear([1.0, 2.0]), [0.0, 0.0], 100)
+    plan = al.optimal_photon_split(
+        bounds.point_model(fns.linear([1.0, 2.0]), [0.0, 0.0]), 100)
     assert not plan.step1_free
 
 
@@ -286,9 +295,9 @@ def test_min_weighted_inverse_square_example():
 def test_predicted_mse_time_plan():
     f = fns.product(2)
     theta = [1.0, 1.0]
-    plan = al.optimal_time_split(f, theta, 1e4)
-    c = bounds.time_mse_coefficients(f, theta)
-    assert al.predicted_mse(f, theta, plan) == pytest.approx(
+    c = bounds.point_model(f, theta)
+    plan = al.optimal_time_split(c, 1e4)
+    assert al.predicted_mse(c, plan) == pytest.approx(
         c.mse_at(plan.t1, plan.t2)
     )
-    assert al.predicted_mse(f, theta, plan) == pytest.approx(1.0747451e-08, rel=1e-6)
+    assert al.predicted_mse(c, plan) == pytest.approx(1.0747451e-08, rel=1e-6)

@@ -5,28 +5,33 @@ from qsn import bounds, functions as fns
 
 
 def test_qubit_bounds_examples():
-    rep = bounds.qubit_bounds(fns.linear([3.0, 4.0]), [0.0, 0.0], 10.0)
+    rep = bounds.qubit_bounds(
+        bounds.point_model(fns.linear([3.0, 4.0]), [0.0, 0.0]), 10.0)
     assert rep.entangled_bound == pytest.approx(0.16)
     assert rep.unentangled_baseline == pytest.approx(0.25)
     assert rep.advantage_ratio == pytest.approx(1.5625)
     assert rep.resource_kind == "qubit-time"
     assert not rep.conjectured
 
-    rep = bounds.qubit_bounds(fns.linear(np.ones(4)), np.zeros(4), 1.0)
+    rep = bounds.qubit_bounds(
+        bounds.point_model(fns.linear(np.ones(4)), np.zeros(4)), 1.0)
     assert rep.entangled_bound == pytest.approx(1.0)
     assert rep.advantage_ratio == pytest.approx(4.0)
 
-    rep = bounds.qubit_bounds(fns.linear([5.0, 0.0, 0.0]), np.zeros(3), 1.0)
+    rep = bounds.qubit_bounds(
+        bounds.point_model(fns.linear([5.0, 0.0, 0.0]), np.zeros(3)), 1.0)
     assert rep.advantage_ratio == pytest.approx(1.0)
 
 
 def test_photon_bounds_examples():
-    rep = bounds.photon_bounds(fns.linear([1.0, 8.0]), [0.0, 0.0], 100)
+    rep = bounds.photon_bounds(
+        bounds.point_model(fns.linear([1.0, 8.0]), [0.0, 0.0]), 100)
     assert rep.entangled_bound == pytest.approx(81e-4)
     assert rep.unentangled_baseline == pytest.approx(125e-4)
     assert rep.conjectured
 
-    rep = bounds.photon_bounds(fns.linear([1.0, 1.0]), [0.0, 0.0], 10)
+    rep = bounds.photon_bounds(
+        bounds.point_model(fns.linear([1.0, 1.0]), [0.0, 0.0]), 10)
     assert rep.entangled_bound == pytest.approx(0.04)
     assert rep.advantage_ratio == pytest.approx(2.0)
 
@@ -45,9 +50,9 @@ def test_bound_ordering_random_gradients():
         g = rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
         if np.all(g == 0):
             continue
-        f = fns.linear(g)
-        qb = bounds.qubit_bounds(f, np.zeros(d), 3.0)
-        ph = bounds.photon_bounds(f, np.zeros(d), 50)
+        model = bounds.point_model(fns.linear(g), np.zeros(d))
+        qb = bounds.qubit_bounds(model, 3.0)
+        ph = bounds.photon_bounds(model, 50)
         for rep in (qb, ph):
             assert rep.entangled_bound <= rep.unentangled_baseline * (1 + 1e-12)
             assert 1.0 - 1e-12 <= rep.advantage_ratio <= d * (1 + 1e-12)
@@ -55,7 +60,7 @@ def test_bound_ordering_random_gradients():
 
 def test_degenerate_gradient_flagged_not_raised():
     f = fns.quadratic(np.eye(2))
-    rep = bounds.qubit_bounds(f, [0.0, 0.0], 5.0)
+    rep = bounds.qubit_bounds(bounds.point_model(f, [0.0, 0.0]), 5.0)
     assert rep.degenerate
     assert rep.entangled_bound == 0.0
     assert rep.advantage_ratio == 1.0
@@ -88,7 +93,7 @@ def test_seminorm_inequality_random_bases():
         d = int(rng.integers(1, 7))
         g = rng.normal(size=d)
         f = fns.linear(g)
-        basis = bounds.coordinate_basis(f, np.zeros(d))
+        basis = bounds.coordinate_basis(bounds.point_model(f, np.zeros(d)))
         np.testing.assert_allclose(basis[0], g)
         s = bounds.seminorm_for_basis(basis)
         assert s == pytest.approx(1.0 / np.max(np.abs(g)))
@@ -96,22 +101,23 @@ def test_seminorm_inequality_random_bases():
 
 def test_coordinate_basis_degenerate():
     with pytest.raises(bounds.DegenerateGradientError):
-        bounds.coordinate_basis(fns.quadratic(np.eye(2)), [0.0, 0.0])
+        bounds.coordinate_basis(
+            bounds.point_model(fns.quadratic(np.eye(2)), [0.0, 0.0]))
 
 
 def test_hessian_quartic_coeffs_values():
     # h = [[0,1],[1,0]] -> off-diagonal (2*1+0)/4, diagonal 0
-    c = bounds.hessian_quartic_coeffs(fns.product(2), [1.0, 1.0])
+    c = bounds.point_model(fns.product(2), [1.0, 1.0]).coeffs
     np.testing.assert_allclose(c, [[0.0, 0.5], [0.5, 0.0]])
     # f = x1^2: c11 = (2*4 + 4)/4 = 3
-    c = bounds.hessian_quartic_coeffs(fns.quadratic([[1.0]]), [0.0])
+    c = bounds.point_model(fns.quadratic([[1.0]]), [0.0]).coeffs
     np.testing.assert_allclose(c, [[3.0]])
 
 
 def curvature_term(f, theta, var) -> float:
     """sum_ij C_ij var_i var_j, the step-1 part of the two-step prediction."""
     var = np.asarray(var, dtype=float)
-    return float(var @ bounds.hessian_quartic_coeffs(f, theta) @ var)
+    return float(var @ bounds.point_model(f, theta).coeffs @ var)
 
 
 def test_two_step_prediction_examples():
@@ -144,21 +150,21 @@ def test_two_step_prediction_against_monte_carlo():
 
 
 def test_time_mse_coefficients_product():
-    c = bounds.time_mse_coefficients(fns.product(2), [1.0, 1.0])
+    c = bounds.point_model(fns.product(2), [1.0, 1.0])
     assert (c.g1, c.g2, c.g3) == (1.0, 1.0, 1.0)
     assert c.argmax_index == 0 and not c.degenerate
     assert c.mse_at(100.0, 900.0) == pytest.approx(1.24469e-6, rel=1e-4)
 
 
 def test_time_mse_coefficients_linear():
-    c = bounds.time_mse_coefficients(fns.linear([3.0, 4.0]), [0.0, 0.0])
+    c = bounds.point_model(fns.linear([3.0, 4.0]), [0.0, 0.0])
     assert c.g1 == 0.0 and c.g3 == 0.0
     assert c.g2 == pytest.approx(16.0)
     assert c.mse_at(0.0, 10.0) == pytest.approx(0.16)
 
 
 def test_mse_at_requires_step1_time_when_curved():
-    c = bounds.time_mse_coefficients(fns.product(2), [1.0, 1.0])
+    c = bounds.point_model(fns.product(2), [1.0, 1.0])
     with pytest.raises(ValueError):
         c.mse_at(0.0, 100.0)
     with pytest.raises(ValueError):
@@ -168,7 +174,7 @@ def test_mse_at_requires_step1_time_when_curved():
 
 
 def test_mse_at_monotone_decreasing():
-    c = bounds.time_mse_coefficients(fns.product(2), [1.0, 1.0])
+    c = bounds.point_model(fns.product(2), [1.0, 1.0])
     t1 = np.linspace(5.0, 500.0, 40)
     vals_t1 = [c.mse_at(x, 1000.0) for x in t1]
     assert all(a > b for a, b in zip(vals_t1, vals_t1[1:]))
@@ -183,15 +189,15 @@ def test_frozen_time_mse_predictions():
 
     f = fns.product(2)
     theta = [1.0, 1.0]
-    c = bounds.time_mse_coefficients(f, theta)
+    c = bounds.point_model(f, theta)
     expected = {1e3: 1.1988494e-06, 1e4: 1.0747451e-08, 1e5: 1.0291202e-10}
     for t, val in expected.items():
-        plan = allocation.optimal_time_split(f, theta, t)
+        plan = allocation.optimal_time_split(bounds.point_model(f, theta), t)
         assert c.mse_at(plan.t1, plan.t2) == pytest.approx(val, rel=1e-6)
 
 
 def test_photon_residual_coefficient():
-    coeffs = bounds.hessian_quartic_coeffs(fns.product(2), [1.0, 1.0])
+    coeffs = bounds.point_model(fns.product(2), [1.0, 1.0]).coeffs
     c = bounds.photon_residual_coefficient(coeffs, [0.5, 0.5])
     assert c == pytest.approx(16.0)
     with pytest.raises(ValueError):
@@ -203,10 +209,11 @@ def test_for_budget_dispatches_on_the_budget_kind():
 
     f = fns.product(3)
     th = [0.5, -1.2, 2.0]
-    assert bounds.for_budget(f, th, ResourceBudget("qubit-time", 50.0)) == \
-        bounds.qubit_bounds(f, th, 50.0)
-    assert bounds.for_budget(f, th, ResourceBudget("photon-number", 70)) == \
-        bounds.photon_bounds(f, th, 70)
+    model = bounds.point_model(f, th)
+    assert bounds.for_budget(model, ResourceBudget("qubit-time", 50.0)) == \
+        bounds.qubit_bounds(model, 50.0)
+    assert bounds.for_budget(model, ResourceBudget("photon-number", 70)) == \
+        bounds.photon_bounds(model, 70)
 
 
 def test_time_mse_coefficients_evaluates_one_hessian():
@@ -217,6 +224,35 @@ def test_time_mse_coefficients_evaluates_one_hessian():
                        hess_rule=lambda th: calls.append(1) or base.hess_rule(th),
                        third_diag_rule=base.third_diag_rule)
     th = [0.8, 1.0, 1.3, 1.6]
-    c = bounds.time_mse_coefficients(f, th)
+    c = bounds.point_model(f, th)
     assert len(calls) == 1
-    assert c == bounds.time_mse_coefficients(base, th)
+    ref = bounds.point_model(base, th)
+    assert (c.g1, c.g2, c.g3, c.argmax_index, c.degenerate) == \
+        (ref.g1, ref.g2, ref.g3, ref.argmax_index, ref.degenerate)
+    for name in ("gradient", "hessian", "third_slice", "coeffs"):
+        assert np.array_equal(getattr(c, name), getattr(ref, name)), name
+
+
+def test_point_model_rejects_overflowing_coefficients():
+    base = fns.product(2)
+    f = fns.from_rules(2, "steep", base.value_rule, base.grad_rule,
+                       lambda th: np.full((2, 2), 1e200), base.third_diag_rule)
+    with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
+        bounds.point_model(f, [1.0, 1.0])
+
+
+def test_point_model_argmax_index_rules():
+    def index_and_flag(weights, theta):
+        model = bounds.point_model(fns.linear(weights), theta)
+        return model.argmax_index, model.degenerate
+
+    assert index_and_flag([3.0, 4.0], [0.0, 0.0]) == (1, False)
+    assert index_and_flag([1.0, 1.0], [0.0, 0.0]) == (0, False)
+    assert index_and_flag([0.0, 0.0], [0.0, 0.0]) == (0, True)
+    # scaling f by a positive constant must not move the argmax
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        w = rng.normal(size=4)
+        j, flag = index_and_flag(w, np.zeros(4))
+        j2, _ = index_and_flag(2.5 * w, np.zeros(4))
+        assert j == j2 and not flag

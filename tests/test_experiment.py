@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qsn
-from qsn import allocation as al, experiment as ex, functions as fns, protocol as pr
+from qsn import allocation as al, bounds, experiment as ex, functions as fns, protocol as pr
 from qsn.measurement import RngStream
 
 
@@ -256,7 +256,7 @@ def test_sweep_resolves_each_plan_once(monkeypatch, protocol, plans):
     records = ex.sweep_resource(cfg, (1e3, 1e4, 1e5), trials=200,
                                 master_seed=5)
     assert len(records) == 3
-    assert [a[2].amount for a in calls] == [1e3, 1e4, 1e5][:plans]
+    assert [a[1].amount for a in calls] == [1e3, 1e4, 1e5][:plans]
 
 
 @pytest.mark.parametrize("kind, grid, policy", [
@@ -272,8 +272,58 @@ def test_sweep_derives_each_points_model_once(kind, grid, policy):
                               policy=policy)
     records = ex.sweep_resource(cfg, grid, trials=200, master_seed=5)
     for rec, amount in zip(records, grid):
-        plan = pr.build_plan(fn, cfg.theta, pr.ResourceBudget(kind, amount), policy)
-        assert rec.predicted_mse == al.predicted_mse(fn, cfg.theta, plan)
+        model = bounds.point_model(fn, cfg.theta)
+        plan = pr.build_plan(model, pr.ResourceBudget(kind, amount), policy)
+        assert rec.predicted_mse == al.predicted_mse(model, plan)
+
+
+@pytest.mark.parametrize("protocol", ["two-step", "unentangled"])
+@pytest.mark.parametrize("kind, grid, policy", [
+    ("qubit-time", (1e3, 1e4, 1e5), "optimal"),
+    ("qubit-time", (1e3, 1e4, 1e5), "numeric"),
+    ("qubit-time", (1e3, 1e4, 1e5), "fixed:30"),
+    ("photon-number", (2000, 20000, 200000), "optimal"),
+    ("photon-number", (2000, 20000, 200000), "fixed:60"),
+])
+def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
+                                               grid, policy):
+    # one point model for the whole grid: plans, predictions and bounds
+    # read it, and none of them calls a rule again. The separable photon
+    # baseline allocates from the true gradient inside its runner; calls
+    # made by the Monte Carlo runners are not the model's and not counted.
+    counts = {"grad": 0, "hess": 0, "third": 0}
+    running = []
+
+    def counted(name, rule):
+        def call(*args):
+            if not running:
+                counts[name] += 1
+            return rule(*args)
+        return call
+
+    def runner(run):
+        def call(*args):
+            running.append(1)
+            try:
+                return run(*args)
+            finally:
+                running.pop()
+        return call
+
+    for name in ("run_two_step_batch", "run_unentangled_batch"):
+        monkeypatch.setattr(ex, name, runner(getattr(ex, name)))
+    base = fns.product(3)
+    fn = fns.from_rules(3, "counted product", base.value_rule,
+                        counted("grad", base.grad_rule),
+                        counted("hess", base.hess_rule),
+                        counted("third", base.third_diag_rule),
+                        grad_batch_rule=base.grad_batch_rule)
+    cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3),
+                              pr.ResourceBudget(kind, grid[0]),
+                              protocol=protocol, policy=policy)
+    records = ex.sweep_resource(cfg, grid, trials=200, master_seed=5)
+    assert len(records) == 3
+    assert counts == {"grad": 1, "hess": 1, "third": 1}
 
 
 def test_sweep_off_tie_matches_prediction():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsn import allocation as al, functions as fns
+from qsn import allocation as al, bounds, functions as fns
 
 
 def test_product_derivatives_at_ones():
@@ -163,7 +163,7 @@ def test_non_finite_third_slice_raises():
         with pytest.raises(fns.EvaluationError, match="third derivative"):
             stencil.third_diag_slice(theta, 1)
         with pytest.raises(fns.EvaluationError, match="third derivative"):
-            al.predicted_mse(stencil, theta, plan)
+            al.predicted_mse(bounds.point_model(stencil, theta), plan)
         with pytest.raises(fns.EvaluationError, match="third derivative"):
             ruled.third_diag_slice([1.0, 0.0], 1)
         bad = fns.composite(lambda th: np.log(np.asarray(th, float)).sum(axis=-1), 2)
@@ -198,19 +198,6 @@ def test_value_error_reports_nonfinite():
                       1, label="overflow")
     with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
         f.value([2000.0])
-
-
-def test_argmax_grad_index_rules():
-    assert fns.argmax_grad_index(fns.linear([3.0, 4.0]), [0.0, 0.0]) == (1, False)
-    assert fns.argmax_grad_index(fns.linear([1.0, 1.0]), [0.0, 0.0]) == (0, False)
-    assert fns.argmax_grad_index(fns.linear([0.0, 0.0]), [0.0, 0.0]) == (0, True)
-    # scaling f by a positive constant must not move the argmax
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        w = rng.normal(size=4)
-        j, flag = fns.argmax_grad_index(fns.linear(w), np.zeros(4))
-        j2, _ = fns.argmax_grad_index(fns.linear(2.5 * w), np.zeros(4))
-        assert j == j2 and not flag
 
 
 def test_batch_values_and_gradients_match_scalar():

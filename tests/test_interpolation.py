@@ -230,7 +230,7 @@ def test_target_at_sensor_reduces_to_projection():
     assert fn.value(readings) == readings[1]
     np.testing.assert_allclose(fn.gradient(readings), [0.0, 1.0, 0.0],
                                rtol=0, atol=1e-12)
-    report = bounds.qubit_bounds(fn, readings, 1e3)
+    report = bounds.qubit_bounds(bounds.point_model(fn, readings), 1e3)
     assert report.entangled_bound == pytest.approx(1e-6, rel=1e-9)
     assert report.unentangled_baseline == pytest.approx(1e-6, rel=1e-9)
     assert report.advantage_ratio == pytest.approx(1.0, rel=1e-9)
@@ -299,6 +299,19 @@ def test_run_interpolation_resolves_its_plan_once(monkeypatch):
         3.7642583081099797e-06)
 
 
+def test_run_interpolation_derives_one_model(monkeypatch):
+    rows = []
+    newton = ip._batch_newton
+    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
+                        rows.append(len(readings)) or
+                        newton(ansatz, layout, readings, start))
+    ip.run_interpolation(BEAM, TRUE, LAYOUT, ResourceBudget("qubit-time", 1e3),
+                         trials=2000, seed=3)
+    # outside the two 2000-row chunks: the model's gradient, Hessian stencil
+    # and third-slice stencil, then each estimate's true value
+    assert [n for n in rows if n != 2000] == [1, 6, 7, 1, 1]
+
+
 def test_run_interpolation_thread_count_keeps_every_bit():
     # three chunks on up to three workers, switching often: each worker
     # must see only its own inversions
@@ -331,15 +344,15 @@ def test_two_step_chunk_inverts_its_draws_once(monkeypatch):
 
 
 def test_model_coefficients_invert_each_stencil_once(monkeypatch):
-    # the gradient at the readings (shared with argmax_grad_index), then the
-    # Hessian's 2d points and the third slice's 2d + 1 points, one block each
+    # the gradient at the readings, then the Hessian's 2d points and the
+    # third slice's 2d + 1 points, one block each
     rows = []
     newton = ip._batch_newton
     monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
                         rows.append(len(readings)) or
                         newton(ansatz, layout, readings, start))
     fn = ip.induced_function(BEAM, LAYOUT, TRUE)
-    bounds.time_mse_coefficients(fn, READINGS)
+    bounds.point_model(fn, READINGS)
     assert rows == [1, 6, 7]
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsn import functions as fns, interpolation as ip
-from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse
-from qsn.protocol import ResourceBudget
+from qsn import allocation as al, bounds, functions as fns, interpolation as ip
+from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, sweep_resource
+from qsn.measurement import largest_remainder
+from qsn.protocol import ResourceBudget, build_plan
 
 BEAM = ip.gaussian_beam()
 LAYOUT = ip.SensorLayout((-1.0, 0.3, 1.2), 0.1)
@@ -201,3 +202,121 @@ def test_rowwise_gives_the_bits_of_broadcasting(ufunc, vec_first, in_place,
     out = block if in_place else np.empty((n, d))
     got = fns.rowwise(ufunc, a, b, out=out)
     assert got is out and got.tobytes() == want.tobytes()
+
+
+def random_target(family, d, seed):
+    """A product at a point with no zero coordinate, or a random quadratic
+    at a random point: either way a gradient that is nonzero."""
+    rng = np.random.default_rng(seed)
+    if family == "product":
+        return fns.product(d), rng.uniform(0.3, 2.0, d) * rng.choice([-1, 1], d)
+    a = rng.uniform(-1.0, 1.0, (d, d))
+    return fns.quadratic(a, rng.uniform(-1.0, 1.0, d)), rng.uniform(-2.0, 2.0, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["product", "quadratic"]), d=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), t_total=st.floats(3.0, 1e8),
+       photons=st.integers(10, 10**6), share=st.floats(0.0, 0.999),
+       power=st.floats(0.55, 0.95))
+def test_every_plan_conserves_its_budget(family, d, seed, t_total, photons,
+                                         share, power):
+    fn, theta = random_target(family, d, seed)
+    model = bounds.point_model(fn, theta)
+    time_budget = ResourceBudget("qubit-time", t_total)
+    for policy in ("optimal", "numeric", f"fixed:{share * t_total!r}",
+                   f"power:1.0,{power!r}"):
+        plan = build_plan(model, time_budget, policy)
+        # t2 = t - t1 rounds, so the sum may sit one ulp off the total
+        assert abs(plan.t1 + plan.t2 - t_total) <= np.spacing(t_total)
+        assert 0.0 <= plan.t1 < t_total
+    photons = max(photons, 2 * d)
+    n1 = d + int(share * (photons - 1 - d))
+    for policy in ("optimal", f"fixed:{n1}"):
+        plan = build_plan(model, ResourceBudget("photon-number", photons),
+                          policy)
+        assert plan.n1 + plan.n2 == photons
+        assert sum(plan.mode_counts) == plan.n1
+        assert len(plan.mode_counts) == d and min(plan.mode_counts) >= 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 50),
+       d=st.integers(1, 12), total=st.integers(0, 10**6))
+def test_largest_remainder_rows_sum_to_their_total(seed, rows, d, total):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, (rows, d)) * 10.0 ** rng.integers(-8, 8, (rows, d))
+    w[rng.random((rows, d)) < 0.3] = 0.0
+    w[:, rng.integers(d)] += 1.0  # every row keeps a positive weight
+    counts = largest_remainder(w, total)
+    assert counts.shape == (rows, d) and counts.min() >= 0
+    assert np.all(counts.sum(axis=1) == total)
+    assert np.all(counts[w == 0.0] == 0)
+
+
+SPLITS = (lambda m: al.optimal_time_split(m, 1e4),
+          lambda m: al.numeric_time_split(m, 1e4),
+          lambda m: al.optimal_photon_split(m, 10**4),
+          lambda m: al.fixed_photon_split(m, 10**4, 100))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["product", "quadratic"]),
+       theta=st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                      min_size=1, max_size=5))
+# all-zero gradients, then ties at indices 0 and 1 and at 1 and 2
+@example(family="product", theta=[0.0, 0.0, 1.0])
+@example(family="quadratic", theta=[0.0, -0.5])
+@example(family="product", theta=[1.0, 1.0, 2.0])
+@example(family="product", theta=[2.0, 1.0, -1.0])
+def test_zero_and_tied_gradients_on_the_model(family, theta):
+    d = len(theta)
+    # the quadratic's gradient 2 theta + b vanishes exactly at theta = 0
+    fn = (fns.product(d) if family == "product"
+          else fns.quadratic(np.eye(d), np.where(np.arange(d) % 2, 1.0, 0.0)))
+    model = bounds.point_model(fn, theta)
+    g = np.abs(fn.gradient(theta))
+    assert model.degenerate == bool(np.all(g == 0.0))
+    if model.degenerate:
+        assert model.argmax_index == 0
+        for split in SPLITS:
+            with pytest.raises(bounds.DegenerateGradientError):
+                split(model)
+        with pytest.raises(bounds.DegenerateGradientError):
+            bounds.coordinate_basis(model)
+    else:
+        # ties go to the lowest index
+        assert model.argmax_index == int(np.flatnonzero(g == g.max())[0])
+        assert model.g2 == g.max() ** 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), where=st.sampled_from(["hessian", "third"]),
+       index=st.integers(0, 15), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       kind=st.sampled_from(["qubit-time", "photon-number"]))
+def test_non_finite_derivatives_raise_from_the_model(d, where, index, bad, kind):
+    base = fns.product(d)
+
+    def hess(th):
+        h = base.hess_rule(th)
+        if where == "hessian":
+            h.flat[index % h.size] = bad
+        return h
+
+    def third(th, j):
+        s = base.third_diag_rule(th, j)
+        if where == "third":
+            s[index % d] = bad
+        return s
+
+    fn = fns.from_rules(d, "broken", base.value_rule, base.grad_rule, hess,
+                        third, base.grad_batch_rule)
+    theta = np.linspace(0.8, 1.4, d)
+    with pytest.raises(fns.EvaluationError):
+        bounds.point_model(fn, theta)
+    # every protocol builds the model, so the separable baseline raises too
+    for protocol in ("two-step", "unentangled"):
+        cfg = ExperimentConfig(fn, tuple(theta), ResourceBudget(kind, 1000),
+                               protocol=protocol)
+        with pytest.raises(fns.EvaluationError):
+            sweep_resource(cfg, [1000], trials=100, master_seed=1)

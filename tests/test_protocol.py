@@ -27,21 +27,20 @@ def test_resource_budget_validation():
 
 
 def test_build_plan_policies():
-    f = fns.product(2)
-    theta = [1.0, 1.0]
+    model = bounds.point_model(fns.product(2), [1.0, 1.0])
     t = pr.ResourceBudget("qubit-time", 1e4)
-    assert pr.build_plan(f, theta, t).policy == "optimal"
-    assert pr.build_plan(f, theta, t, "numeric").policy == "numeric"
-    assert pr.build_plan(f, theta, t, "power:1.0,0.7").t1 == pytest.approx(10**2.8)
-    assert pr.build_plan(f, theta, t, "fixed:250").t1 == 250.0
+    assert pr.build_plan(model, t).policy == "optimal"
+    assert pr.build_plan(model, t, "numeric").policy == "numeric"
+    assert pr.build_plan(model, t, "power:1.0,0.7").t1 == pytest.approx(10**2.8)
+    assert pr.build_plan(model, t, "fixed:250").t1 == 250.0
     with pytest.raises(ValueError):
-        pr.build_plan(f, theta, t, "adaptive")
+        pr.build_plan(model, t, "adaptive")
 
     n = pr.ResourceBudget("photon-number", 1000)
-    assert pr.build_plan(f, theta, n).n1 == 96
-    assert pr.build_plan(f, theta, n, "fixed:10").n1 == 10
+    assert pr.build_plan(model, n).n1 == 96
+    assert pr.build_plan(model, n, "fixed:10").n1 == 10
     with pytest.raises(ValueError):
-        pr.build_plan(f, theta, n, "numeric")
+        pr.build_plan(model, n, "numeric")
 
 
 def test_two_step_linear_unbiased_exact_floor():
@@ -49,7 +48,7 @@ def test_two_step_linear_unbiased_exact_floor():
     # so the only error is the step-2 noise at its 16/t2^2 floor
     f = fns.linear([3.0, 4.0])
     theta = [0.7, -0.4]
-    plan = al.optimal_time_split(f, theta, 100.0)
+    plan = al.optimal_time_split(bounds.point_model(f, theta), 100.0)
     assert plan.t1 == 0.0
     est = pr.run_two_step_batch(f, theta, plan, RngStream(7, 0), 200000)
     mse, se = mse_and_se(est, f.value(theta))
@@ -67,8 +66,8 @@ def test_two_step_product_matches_prediction_off_tie():
     # distinct gradient components keep the fixed-index expansion exact
     f = fns.product(2)
     theta = [1.0, 0.7]
-    coeffs = bounds.time_mse_coefficients(f, theta)
-    plan = al.optimal_time_split(f, theta, 1e3)
+    coeffs = bounds.point_model(f, theta)
+    plan = al.optimal_time_split(coeffs, 1e3)
     est = pr.run_two_step_batch(f, theta, plan, RngStream(7, 2), 200000)
     mse, se = mse_and_se(est, f.value(theta))
     assert abs(mse - coeffs.mse_at(plan.t1, plan.t2)) < 3 * se
@@ -81,8 +80,8 @@ def test_two_step_tied_gradient_exceeds_fixed_index_prediction():
     # quantified by experiment.step2_floor_inflation
     f = fns.product(2)
     theta = [1.0, 1.0]
-    coeffs = bounds.time_mse_coefficients(f, theta)
-    plan = al.optimal_time_split(f, theta, 1e3)
+    coeffs = bounds.point_model(f, theta)
+    plan = al.optimal_time_split(coeffs, 1e3)
     est = pr.run_two_step_batch(f, theta, plan, RngStream(7, 3), 10**6)
     mse, se = mse_and_se(est, f.value(theta))
     z = (mse - coeffs.mse_at(plan.t1, plan.t2)) / se
@@ -95,7 +94,7 @@ def test_two_step_mse_scaling_toward_entangled_floor():
     theta = [1.0, 0.7]
     ratios = []
     for i, t in enumerate((1e3, 1e4, 1e5)):
-        plan = al.optimal_time_split(f, theta, t)
+        plan = al.optimal_time_split(bounds.point_model(f, theta), t)
         est = pr.run_two_step_batch(f, theta, plan, RngStream(11, i), 100000)
         mse, _ = mse_and_se(est, f.value(theta))
         ratios.append(mse * t * t)
@@ -181,8 +180,9 @@ def test_batch_matches_scalar_draw_for_draw():
     # one trial: d step-1 normals, then one step-2 normal
     f = fns.product(2)
     theta = np.array([1.0, 0.7])
-    for i, plan in enumerate((al.optimal_time_split(f, theta, 1e3),
-                              al.optimal_photon_split(f, theta, 500))):
+    model = bounds.point_model(f, theta)
+    for i, plan in enumerate((al.optimal_time_split(model, 1e3),
+                              al.optimal_photon_split(model, 500))):
         gen = RngStream(23, 5 + i).generator()
         if plan.kind == "qubit-time":
             sd, step2 = np.full(2, 1.0 / plan.t1), plan.t2
@@ -211,8 +211,9 @@ def test_photon_two_step_mse_approaches_one_norm():
     target = float(np.sum(np.abs(f.gradient(theta)))) ** 2  # = 4
     scaled = []
     for i, n in enumerate((100, 1000, 10000)):
-        plan = al.optimal_photon_split(f, theta, n)
-        pred = al.predicted_mse(f, theta, plan)
+        model = bounds.point_model(f, theta)
+        plan = al.optimal_photon_split(model, n)
+        pred = al.predicted_mse(model, plan)
         scaled.append(pred * n * n)
         if n == 1000:
             est = pr.run_two_step_batch(f, theta, plan, RngStream(29, i), 200000)
@@ -363,7 +364,7 @@ def test_label_permutation_invariance():
     trials = 200000
     stats = []
     for fn, th, idx in ((f, theta, 0), (f_perm, theta[perm], 1)):
-        plan = al.optimal_time_split(fn, th, 1e3)
+        plan = al.optimal_time_split(bounds.point_model(fn, th), 1e3)
         est = pr.run_two_step_batch(fn, th, plan, RngStream(53, idx), trials)
         mse, se = mse_and_se(est, fn.value(th))
         stats.append((est.mean(), mse, se, np.sqrt(est.var() / trials)))
@@ -372,6 +373,6 @@ def test_label_permutation_invariance():
     assert abs(mse_a - mse_b) < 4 * np.hypot(se_a, se_b)
     # the optimal plans themselves agree, because every coefficient entering
     # them is permutation invariant
-    plan_a = al.optimal_time_split(f, theta, 1e3)
-    plan_b = al.optimal_time_split(f_perm, theta[perm], 1e3)
+    plan_a = al.optimal_time_split(bounds.point_model(f, theta), 1e3)
+    plan_b = al.optimal_time_split(bounds.point_model(f_perm, theta[perm]), 1e3)
     assert plan_a.t1 == pytest.approx(plan_b.t1, rel=1e-12)
