@@ -28,7 +28,8 @@ from .functions import AnalyticFunction, EvaluationError, as_params
 from .functions import from_rules, linear, quadratic
 from .measurement import MODELING_ASSUMPTIONS, RngStream
 from .protocol import (TINY_GRADIENT_RTOL, ResourceBudget, build_plan,
-                       prior_point, run_two_step_batch, run_unentangled_batch)
+                       prior_point, run_two_step_batch, run_unentangled_batch,
+                       separable_split)
 
 # Trials per chunk. Part of the determinism contract: changing it reshuffles
 # which stream serves which trial, so results are only comparable at equal
@@ -143,11 +144,11 @@ def estimate_mse(config: ExperimentConfig, trials: int, master_seed: int,
         def draw(stream, n):
             return run_two_step_batch(fn, theta, plan, stream, n) - truth
     else:
-        budget, pilot = config.budget, config.pilot_fraction
+        split = separable_split(fn, theta, config.budget,
+                                config.pilot_fraction)
 
         def draw(stream, n):
-            return run_unentangled_batch(fn, theta, budget, stream, n,
-                                         pilot) - truth
+            return run_unentangled_batch(fn, theta, split, stream, n) - truth
 
     base = RngStream(master_seed, stream_index)
     m1, m2, m4 = collect_error_moments(draw, trials, base, threads)

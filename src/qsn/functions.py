@@ -329,14 +329,26 @@ def _product_gradients(points: np.ndarray) -> np.ndarray:
     return grads
 
 
+# Entries of theta that _leave_out_products gathers at once: its memory stays
+# at a few MiB, where one gather of all d(d-1)/2 pair rows grows as d^3.
+_LEAVE_OUT_BLOCK = 1 << 18
+
+
 def _leave_out_products(theta: np.ndarray, left_out: np.ndarray) -> np.ndarray:
     """For each row of distinct indices, the product of theta over every
-    other index, multiplied in ascending index order."""
+    other index, multiplied in ascending index order; rows are gathered a
+    block at a time, and each row's product is its own reduction."""
     rows, k = left_out.shape
-    keep = np.ones((rows, theta.shape[0]), bool)
-    np.put_along_axis(keep, left_out, False, axis=1)
-    kept = np.broadcast_to(theta, keep.shape)[keep]
-    return np.prod(kept.reshape(rows, theta.shape[0] - k), axis=-1)
+    d = theta.shape[0]
+    out = np.empty(rows)
+    step = max(1, _LEAVE_OUT_BLOCK // d)
+    for lo in range(0, rows, step):
+        block = left_out[lo:lo + step]
+        keep = np.ones((len(block), d), bool)
+        np.put_along_axis(keep, block, False, axis=1)
+        kept = np.broadcast_to(theta, keep.shape)[keep]
+        out[lo:lo + step] = np.prod(kept.reshape(len(block), d - k), axis=-1)
+    return out
 
 
 def product(dim: int, label: str | None = None) -> AnalyticFunction:

@@ -16,6 +16,7 @@ evaluating F afterwards is not offered.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -128,17 +129,37 @@ def gaussian_beam() -> Ansatz:
             axis=1,
         )
 
+    # each batch rule writes its result into one block, evaluating
+    # a exp(-2 dx^2 / w^2), a e 4 dx / w^2 and a e 4 dx^2 / w^3 left to right
+    # as written above; the Jacobian's block is parameter-major, so each
+    # column is contiguous, and is returned as an (n, len(x), 3) view
     def field_batch(cs, x):
         a, x0, w = cs[:, 0:1], cs[:, 1:2], cs[:, 2:3]
-        return a * np.exp(-2.0 * (x[None, :] - x0) ** 2 / w**2)
+        out = np.subtract(x[None, :], x0)
+        np.square(out, out=out)
+        np.multiply(-2.0, out, out=out)
+        np.divide(out, w**2, out=out)
+        np.exp(out, out=out)
+        return np.multiply(a, out, out=out)
 
     def jacobian_batch(cs, x):
         a, x0, w = cs[:, 0:1], cs[:, 1:2], cs[:, 2:3]
-        dx = x[None, :] - x0
-        e = np.exp(-2.0 * dx**2 / w**2)
-        return np.stack(
-            [e, a * e * 4.0 * dx / w**2, a * e * 4.0 * dx**2 / w**3], axis=2
-        )
+        cols = np.empty((3, len(cs), x.size))
+        e, d_center, d_waist = cols
+        dx = np.subtract(x[None, :], x0, out=d_center)
+        w2 = w**2
+        tmp = np.square(dx)
+        np.multiply(-2.0, tmp, out=tmp)
+        np.divide(tmp, w2, out=tmp)
+        np.exp(tmp, out=e)
+        ae4 = np.multiply(a, e, out=d_waist)
+        np.multiply(ae4, 4.0, out=ae4)
+        np.square(dx, out=tmp)
+        np.multiply(ae4, tmp, out=tmp)
+        np.multiply(ae4, dx, out=d_center)
+        np.divide(d_center, w2, out=d_center)
+        np.divide(tmp, w**3, out=d_waist)
+        return np.moveaxis(cols, 0, -1)
 
     return Ansatz(param_dim=3, label="gaussian-beam", field_rule=field,
                   jacobian_rule=jacobian, field_batch_rule=field_batch,
@@ -179,8 +200,36 @@ def forward_readings(ansatz: Ansatz, params, layout: SensorLayout) -> np.ndarray
 # -- the induced function G ------------------------------------------------------
 
 
-def _solve_rows(jac: np.ndarray, rhs: np.ndarray,
-                transposed: bool = False) -> np.ndarray:
+# _solve_rows's work block at p = 3: nine cofactors, det, the singularity
+# scale and two temporaries
+SOLVE_WORK_ROWS = 13
+
+
+class _Workspace(threading.local):
+    """One thread's reusable float buffers, plus its inversion memo.
+
+    ``take`` hands out a named buffer of the asked shape with stale contents;
+    a buffer grows to the largest shape asked of it and is never shrunk, so
+    equal-sized chunks on one thread reuse the same memory instead of
+    allocating (and page-faulting) it afresh.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+        self.block = None
+        self.params = None
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
+                work: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Solve ``jac[i] x[i] = rhs[i]`` for every row i, or ``jac[i]^T x[i] =
     rhs[i]`` when ``transposed``; ``jac`` is (n, p, p) or a broadcast
     (1, p, p), ``rhs`` is (n, p).
@@ -192,26 +241,48 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray,
     depend on that row alone, and on blocks of 3x3 systems it is several
     times faster than batched LAPACK. Other sizes use LAPACK.
 
+    The p = 3 path keeps its nine cofactors, det, the singularity scale and
+    two temporaries in ``work``, a (SOLVE_WORK_ROWS, n) float block, and
+    writes the solution into ``out``, an (n, 3) block that must not overlap
+    ``rhs``; either is allocated when not given. The induced function passes
+    its per-thread workspace's buffers, so a chunk's solves reuse memory
+    instead of faulting in about forty fresh (n,) arrays each. Use the
+    returned array: the LAPACK path ignores both and returns a fresh one.
+
     A singular row raises SingularJacobianError, and no NaN or inf is
     returned. At p = 3 a row is singular when |det| is not above
     SINGULAR_DET_RTOL times the product of its columns' largest entries
     (which bounds |det| to within 3^1.5); this also catches rank-2 rows whose
     determinant rounds to a few ulps instead of 0.
     """
+    n = len(rhs)
     if jac.shape[-1] == 3:
+        m = len(jac)
+        if work is None:
+            work = np.empty((SOLVE_WORK_ROWS, n))
+        if out is None:
+            out = np.empty((n, 3))
         a = [[jac[:, k, j] for k in range(3)] for j in range(3)]
+        cof = [[work[3 * j + k, :m] for k in range(3)] for j in range(3)]
+        det, scale, tmp, term = work[9, :m], work[10, :m], work[11], work[12]
         with np.errstate(all="ignore"):
-            cof = [_cross(a[(j + 1) % 3], a[(j + 2) % 3]) for j in range(3)]
-            det = _dot(a[0], cof[0])
-            big = [np.maximum(np.maximum(np.abs(col[0]), np.abs(col[1])),
-                              np.abs(col[2])) for col in a]
-            b = [rhs[:, k] for k in range(3)]
-            if not np.all(np.abs(det) > SINGULAR_DET_RTOL * big[0] * big[1] * big[2]):
+            for j in range(3):
+                _cross(a[(j + 1) % 3], a[(j + 2) % 3], cof[j], tmp[:m])
+            _dot(a[0], cof[0], det, tmp[:m])
+            # scale = ((RTOL * big_0) * big_1) * big_2, big_j = max_k |a_jk|
+            for j, col in enumerate(a):
+                big = np.abs(col[0], out=tmp[:m])
+                np.maximum(big, np.abs(col[1], out=term[:m]), out=big)
+                np.maximum(big, np.abs(col[2], out=term[:m]), out=big)
+                np.multiply(SINGULAR_DET_RTOL if j == 0 else scale, big,
+                            out=scale)
+            if not np.all(np.abs(det, out=tmp[:m]) > scale):
                 out = None
             else:
-                cols = ([_dot(b, [c[k] for c in cof]) for k in range(3)]
-                        if transposed else [_dot(c, b) for c in cof])
-                out = np.stack([col / det for col in cols], axis=1)
+                b = [rhs[:, k] for k in range(3)]
+                for k in range(3):
+                    terms = [c[k] for c in cof] if transposed else cof[k]
+                    np.divide(_dot(b, terms, tmp, term), det, out=out[:, k])
     else:
         mats = np.transpose(jac, (0, 2, 1)) if transposed else jac
         try:
@@ -224,17 +295,23 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray,
     return out
 
 
-def _cross(p, q):
-    return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0]]
+def _cross(p, q, out, tmp):
+    """p x q into the three arrays ``out``."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(p[j], q[k], out=out[i])
+        np.subtract(out[i], np.multiply(p[k], q[j], out=tmp), out=out[i])
 
 
-def _dot(p, q):
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+def _dot(p, q, out, tmp):
+    """(p_0 q_0 + p_1 q_1) + p_2 q_2 into ``out``."""
+    np.multiply(p[0], q[0], out=out)
+    np.add(out, np.multiply(p[1], q[1], out=tmp), out=out)
+    return np.add(out, np.multiply(p[2], q[2], out=tmp), out=out)
 
 
 def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
-                  start: np.ndarray) -> np.ndarray:
+                  start: np.ndarray, space: _Workspace | None = None) -> np.ndarray:
     """Invert the square sensor map for a block of reading rows.
 
     Every row starts from the same anchor, so the inversion is a pure
@@ -244,19 +321,31 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
     converges, and converged rows take near-zero steps meanwhile, so a
     row's bits can depend on the block it is inverted in. Non-finite
     readings and rows that never converge are an error, not a NaN.
+
+    The residual, its magnitude, the step, the iterate and the solve's work
+    block live in ``space`` (a fresh workspace when not given); the
+    returned parameters are a fresh array.
     """
     if not np.all(np.isfinite(readings)):
         # an infinite reading would make the tolerance infinite and pass
         # every row at the anchor
         raise EvaluationError("non-finite sensor reading")
+    if space is None:
+        space = _Workspace()
+    shape = readings.shape
+    resid, size = space.take("resid", shape), space.take("size", shape)
+    step = space.take("step", shape)
+    work = space.take("solve", (SOLVE_WORK_ROWS, shape[0]))
     c = start[None, :]
     locs = layout.points()
     tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(readings))))
     for _ in range(NEWTON_MAX_ITER):
-        resid = ansatz.field_batch(c, locs) - readings
-        if float(np.max(np.abs(resid))) <= tol:
-            return np.broadcast_to(c, readings.shape).copy()
-        c = c - _solve_rows(ansatz.jacobian_batch(c, locs), resid)
+        np.subtract(ansatz.field_batch(c, locs), readings, out=resid)
+        if float(np.max(np.abs(resid, out=size))) <= tol:
+            return np.broadcast_to(c, shape).copy()
+        delta = _solve_rows(ansatz.jacobian_batch(c, locs), resid, work=work,
+                            out=step)
+        c = np.subtract(c, delta, out=space.take("iterate", shape))
         if not np.all(np.isfinite(c)):
             raise EvaluationError("sensor-map inversion diverged")
     resid = ansatz.field_batch(c, locs) - readings
@@ -274,10 +363,19 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
     J^T grad G = dF*/dc; higher derivatives fall back to differencing it.
 
     Each reading block is inverted once: values and gradients share a
-    one-entry memo per thread, keyed by the block's shape and bytes, so the
-    ``gradients`` then ``values`` calls a two-step chunk makes on its step-1
-    draws run one Newton inversion. The memo keeps its own copy of the
-    block, so a block changed in place is inverted afresh.
+    one-entry memo per thread, matched on the block's shape and bits, so
+    the ``gradients`` then ``values`` calls a two-step chunk makes on its
+    step-1 draws run one Newton inversion. The memo keeps its own copy of
+    the block, so a block changed in place is inverted afresh.
+
+    Each thread also keeps a workspace (``_Workspace``) holding the Newton
+    residual, its magnitude, the step and the iterate, the 3x3 solves' work
+    block and the memo's copy of the block. Freed chunk-sized temporaries
+    go back to the system between chunks and are page-faulted in again on
+    the next, so reusing buffers saves that time; keeping them per thread
+    keeps concurrent chunks off each other's buffers. Values, gradients and
+    the memo's parameters are fresh arrays, never workspace, so no later
+    call changes what an earlier one returned.
     """
     if layout.dim != ansatz.param_dim:
         raise ValueError(
@@ -293,16 +391,19 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         )
     target = np.array([layout.target])
     locs = layout.points()
-    memo = threading.local()
+    space = _Workspace()
 
     def invert(points):
-        key = (points.shape, points.tobytes())
-        last = getattr(memo, "last", None)
-        if last is not None and last[0] == key:
-            return last[1]
-        params = _batch_newton(ansatz, layout, points, anchor)
+        last = space.block
+        # compared bit by bit, as a bytes key would: -0.0 is not 0.0 here
+        if (last is not None and last.shape == points.shape
+                and np.array_equal(last.view(np.int64), points.view(np.int64))):
+            return space.params
+        params = _batch_newton(ansatz, layout, points, anchor, space)
         params.flags.writeable = False
-        memo.last = (key, params)
+        block = space.take("block", points.shape)
+        block[...] = points
+        space.block, space.params = block, params
         return params
 
     def value_rule(theta):
@@ -316,7 +417,8 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         c = invert(points)
         jac = ansatz.jacobian_batch(c, locs)
         gf = ansatz.jacobian_batch(c, target)[:, 0, :]
-        return _solve_rows(jac, gf, transposed=True)
+        work = space.take("solve", (SOLVE_WORK_ROWS, len(points)))
+        return _solve_rows(jac, gf, transposed=True, work=work)
 
     return AnalyticFunction(
         dim=layout.dim,

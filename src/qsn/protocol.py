@@ -195,17 +195,47 @@ def _photon_variances(g: np.ndarray, photons: int) -> np.ndarray:
     return count_variances(counts)
 
 
-def run_unentangled_batch(fn: AnalyticFunction, theta_true,
-                          budget: ResourceBudget, rng, trials: int,
-                          pilot_fraction: float | None = None) -> np.ndarray:
-    """Estimates from ``trials`` independent runs of the separable baseline:
-    per-parameter estimation, then plug-in.
+@dataclass(frozen=True, eq=False)
+class SeparableSplit:
+    """The separable baseline's allocation, fixed for a whole run
+    (identity equality, since ``variances`` is an array).
+
+    ``variances`` are those of the estimates every trial draws: the final
+    estimates', or the pilot's when ``final_photons`` is set. In that case
+    each trial splits ``final_photons`` from its own pilot estimate.
+    """
+
+    variances: np.ndarray
+    final_photons: int | None = None
+
+
+def separable_split(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
+                    pilot_fraction: float | None = None) -> SeparableSplit:
+    """The separable baseline's allocation at ``theta_true``.
 
     Time budgets give every sensor the full span (variance 1/t^2 each).
     Photon budgets split N across modes proportionally to |f_i|^{2/3}; by
     default the split uses the gradient at the true point (the benchmarking
     convention), while ``pilot_fraction`` instead spends that share of the
     budget on a uniform pre-estimate and allocates the remainder from it.
+    """
+    if pilot_fraction is None:
+        if budget.kind == "qubit-time":
+            return SeparableSplit(np.full(fn.dim, 1.0 / budget.amount**2))
+        return SeparableSplit(_photon_variances(fn.gradient(theta_true),
+                                                int(budget.amount)))
+    if budget.kind == "qubit-time":
+        raise ValueError("pilot stages only apply to photon budgets: "
+                         "with time budgets every sensor runs the full span")
+    return SeparableSplit(*_pilot_stage(fn.dim, int(budget.amount),
+                                        pilot_fraction))
+
+
+def run_unentangled_batch(fn: AnalyticFunction, theta_true,
+                          split: SeparableSplit, rng, trials: int) -> np.ndarray:
+    """Estimates from ``trials`` independent runs of the separable baseline
+    under ``split`` (see ``separable_split``): per-parameter estimation,
+    then plug-in.
 
     Without a pilot stage every trial shares one allocation and draws one
     (trials, d) block of normals. With a pilot stage each trial re-allocates
@@ -219,23 +249,15 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
     if trials < 1:
         raise ValueError("trials must be positive")
     gen = _generator(rng)
-    if pilot_fraction is None:
-        if budget.kind == "qubit-time":
-            var = np.full(fn.dim, 1.0 / budget.amount**2)
-        else:
-            var = _photon_variances(fn.gradient(theta_true), int(budget.amount))
+    if split.final_photons is None:
+        var = split.variances
         sampled = sample_param_estimates(theta_true, var, gen, size=trials)
-    elif budget.kind == "qubit-time":
-        raise ValueError("pilot stages only apply to photon budgets: "
-                         "with time budgets every sensor runs the full span")
     else:
-        pilot_var, n_final = _pilot_stage(fn.dim, int(budget.amount),
-                                          pilot_fraction)
         normals = gen.standard_normal((trials, 2, fn.dim))
-        g = fn.gradients(theta_true + np.sqrt(pilot_var) * normals[:, 0])
+        g = fn.gradients(theta_true + np.sqrt(split.variances) * normals[:, 0])
         if not np.all(np.isfinite(g)):
             raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
-        var = _photon_variances(g, n_final)
+        var = _photon_variances(g, split.final_photons)
         sampled = theta_true + np.sqrt(var) * normals[:, 1]
     # a zero variance pins its parameter to the prior; sampled is this
     # call's own buffer, so the pin goes in place, and only when needed

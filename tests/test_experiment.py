@@ -289,8 +289,9 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
                                                grid, policy):
     # one point model for the whole grid: plans, predictions and bounds
     # read it, and none of them calls a rule again. The separable photon
-    # baseline allocates from the true gradient inside its runner; calls
-    # made by the Monte Carlo runners are not the model's and not counted.
+    # baseline allocates from the true gradient once per estimate, in
+    # separable_split; calls made by the Monte Carlo runners and that split
+    # are not the model's and not counted.
     counts = {"grad": 0, "hess": 0, "third": 0}
     running = []
 
@@ -310,7 +311,8 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
                 running.pop()
         return call
 
-    for name in ("run_two_step_batch", "run_unentangled_batch"):
+    for name in ("run_two_step_batch", "run_unentangled_batch",
+                 "separable_split"):
         monkeypatch.setattr(ex, name, runner(getattr(ex, name)))
     base = fns.product(3)
     fn = fns.from_rules(3, "counted product", base.value_rule,
@@ -324,6 +326,33 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
     records = ex.sweep_resource(cfg, grid, trials=200, master_seed=5)
     assert len(records) == 3
     assert counts == {"grad": 1, "hess": 1, "third": 1}
+
+
+def test_separable_split_is_taken_once_per_estimate(monkeypatch):
+    # three chunks share one allocation: the clairvoyant split's gradient
+    # and the pilot stage's split are each computed once per call
+    calls = {"grad": 0, "pilot": 0}
+    base = fns.product(3)
+
+    def grad(theta):
+        calls["grad"] += 1
+        return base.grad_rule(theta)
+
+    pilot_stage = pr._pilot_stage
+
+    def pilot(*args):
+        calls["pilot"] += 1
+        return pilot_stage(*args)
+
+    monkeypatch.setattr(pr, "_pilot_stage", pilot)
+    fn = fns.from_rules(3, "counted product", base.value_rule, grad,
+                        base.hess_rule, grad_batch_rule=base.grad_batch_rule)
+    budget = pr.ResourceBudget("photon-number", 3000)
+    for fraction in (None, 0.1):
+        cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3), budget,
+                                  protocol="unentangled", pilot_fraction=fraction)
+        ex.estimate_mse(cfg, 2 * ex.CHUNK + 1, master_seed=3, threads=2)
+    assert calls == {"grad": 1, "pilot": 1}
 
 
 def test_sweep_off_tie_matches_prediction():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,20 @@ def test_product_value_and_gradient_kernels_bit_equal_to_reductions(d):
     # the row max of |gradients| that the two-step chunk takes
     assert np.array_equal(fns.fold_columns(np.maximum, np.abs(pts)),
                           np.max(np.abs(pts), axis=1))
+
+
+def test_product_hessian_memory_stays_bounded():
+    # one gather of all d(d-1)/2 pair rows would hold about 36 MB at d = 200
+    th = np.random.default_rng(11).uniform(0.5, 1.5, size=200)
+    f = fns.product(200)
+    tracemalloc.start()
+    try:
+        h = f.hessian(th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(h, loop_product_hessian(th))
 
 
 def test_product_diag_slice_needs_no_full_tensor():

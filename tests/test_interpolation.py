@@ -38,6 +38,16 @@ def random_layout_cases(seed, count):
     return cases
 
 
+def count_inversions(monkeypatch):
+    """The row count of every ``_batch_newton`` call, in call order."""
+    rows = []
+    newton = ip._batch_newton
+    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, *rest:
+                        rows.append(len(readings)) or
+                        newton(ansatz, layout, readings, *rest))
+    return rows
+
+
 def test_layout_validation():
     with pytest.raises(ValueError, match="distinct"):
         ip.SensorLayout((0.1, 0.1, 0.5), 0.0)
@@ -300,11 +310,7 @@ def test_run_interpolation_resolves_its_plan_once(monkeypatch):
 
 
 def test_run_interpolation_derives_one_model(monkeypatch):
-    rows = []
-    newton = ip._batch_newton
-    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
-                        rows.append(len(readings)) or
-                        newton(ansatz, layout, readings, start))
+    rows = count_inversions(monkeypatch)
     ip.run_interpolation(BEAM, TRUE, LAYOUT, ResourceBudget("qubit-time", 1e3),
                          trials=2000, seed=3)
     # outside the two 2000-row chunks: the model's gradient, Hessian stencil
@@ -329,11 +335,7 @@ def test_run_interpolation_thread_count_keeps_every_bit():
 
 
 def test_two_step_chunk_inverts_its_draws_once(monkeypatch):
-    rows = []
-    newton = ip._batch_newton
-    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
-                        rows.append(len(readings)) or
-                        newton(ansatz, layout, readings, start))
+    rows = count_inversions(monkeypatch)
     fn = ip.induced_function(BEAM, LAYOUT, TRUE)
     cfg = ExperimentConfig(fn, tuple(READINGS), ResourceBudget("qubit-time", 1e4))
     estimate_mse(cfg, 2 * CHUNK + 100, master_seed=1, threads=2)
@@ -346,11 +348,7 @@ def test_two_step_chunk_inverts_its_draws_once(monkeypatch):
 def test_model_coefficients_invert_each_stencil_once(monkeypatch):
     # the gradient at the readings, then the Hessian's 2d points and the
     # third slice's 2d + 1 points, one block each
-    rows = []
-    newton = ip._batch_newton
-    monkeypatch.setattr(ip, "_batch_newton", lambda ansatz, layout, readings, start:
-                        rows.append(len(readings)) or
-                        newton(ansatz, layout, readings, start))
+    rows = count_inversions(monkeypatch)
     fn = ip.induced_function(BEAM, LAYOUT, TRUE)
     bounds.point_model(fn, READINGS)
     assert rows == [1, 6, 7]
@@ -368,3 +366,30 @@ def test_block_changed_in_place_is_inverted_afresh():
     fresh = ip.induced_function(BEAM, LAYOUT, TRUE)
     assert np.array_equal(fn.values(block), fresh.values(block))
     assert np.array_equal(fn.gradients(block), fresh.gradients(block))
+
+
+def test_returned_arrays_are_the_callers_and_match_fresh_functions():
+    # the workspace is reused by every later call on this thread: other
+    # blocks, other row counts, and a second function with its own layout
+    # and anchor; no array handed out may change, and each must carry the
+    # bits a freshly built function gives
+    other = (ip.SensorLayout((-0.8, 0.2, 0.9), -0.3), np.array([1.3, 0.1, 0.9]))
+    cases = [(LAYOUT, TRUE), other]
+    made = [ip.induced_function(BEAM, layout, true) for layout, true in cases]
+    rng = np.random.default_rng(8)
+    handed_out = []
+    for rows in (CHUNK, 1, 6, CHUNK, 6, 1):
+        for fn, (layout, true) in zip(made, cases):
+            block = (ip.forward_readings(BEAM, true, layout)
+                     + 1e-3 * rng.standard_normal((rows, 3)))
+            got = [fn.gradients(block), fn.values(block), fn.gradient(block[0]),
+                   np.array(fn.value(block[-1]))]
+            fresh = ip.induced_function(BEAM, layout, true)
+            want = [fresh.gradients(block), fresh.values(block),
+                    ip.induced_function(BEAM, layout, true).gradient(block[0]),
+                    np.array(ip.induced_function(BEAM, layout, true).value(block[-1]))]
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            handed_out += [(g, g.tobytes()) for g in got]
+    for arr, bits in handed_out:
+        assert arr.tobytes() == bits

@@ -12,6 +12,12 @@ def mse_and_se(estimates, truth):
     return mse, se
 
 
+def baseline(fn, theta, budget, rng, trials, pilot_fraction=None):
+    """The separable baseline's runner under the split ``estimate_mse`` gives it."""
+    split = pr.separable_split(fn, theta, budget, pilot_fraction)
+    return pr.run_unentangled_batch(fn, theta, split, rng, trials)
+
+
 def test_resource_budget_validation():
     b = pr.ResourceBudget("qubit-time", 100.0)
     assert b.amount == 100.0
@@ -201,7 +207,7 @@ def test_batch_matches_scalar_draw_for_draw():
     counts = largest_remainder(np.abs(f.gradient(theta)) ** (2.0 / 3.0), 500)
     gen = RngStream(23, 7).generator()
     single = f.value(theta + gen.standard_normal(2) / counts)
-    ub = pr.run_unentangled_batch(f, theta, budget, RngStream(23, 7), 1)
+    ub = baseline(f, theta, budget, RngStream(23, 7), 1)
     assert ub[0] == pytest.approx(single, rel=1e-12)
 
 
@@ -235,7 +241,7 @@ def test_unentangled_time_baseline():
     f = fns.linear([3.0, 4.0])
     theta = [0.2, 0.9]
     budget = pr.ResourceBudget("qubit-time", 10.0)
-    est = pr.run_unentangled_batch(f, theta, budget, RngStream(37), 200000)
+    est = baseline(f, theta, budget, RngStream(37), 200000)
     mse, se = mse_and_se(est, f.value(theta))
     assert abs(mse - 0.25) < 4 * se
     assert abs(est.mean() - f.value(theta)) < 4 * np.sqrt(mse / est.size)
@@ -245,7 +251,7 @@ def test_unentangled_photon_two_thirds_rule():
     f = fns.linear([1.0, 8.0])
     theta = [0.3, -0.2]
     budget = pr.ResourceBudget("photon-number", 100)
-    est = pr.run_unentangled_batch(f, theta, budget, RngStream(41), 200000)
+    est = baseline(f, theta, budget, RngStream(41), 200000)
     mse, se = mse_and_se(est, f.value(theta))
     # counts (20, 80) from the 2/3-power weights: MSE = 1/400 + 64/6400
     assert abs(mse - 0.0125) < 4 * se
@@ -256,7 +262,7 @@ def test_unentangled_ignores_parameters_off_gradient():
     # not constant in it, so the estimates show where theta_0 was put
     f = fns.quadratic([[1.0, 0.0], [0.0, 0.0]], offset=[-18.0, 5.0])
     budget = pr.ResourceBudget("photon-number", 50)
-    est = pr.run_unentangled_batch(f, [9.0, 0.4], budget, RngStream(43), 100)
+    est = baseline(f, [9.0, 0.4], budget, RngStream(43), 100)
     # no photons are wasted on the first parameter; it rests at the prior,
     # and all 50 go to the second
     normals = RngStream(43).generator().standard_normal((100, 2))
@@ -266,7 +272,7 @@ def test_unentangled_ignores_parameters_off_gradient():
     assert abs(est.mean() - f.value([9.0, 0.4])) > 80.0
 
     with pytest.raises(ValueError, match="zero gradient"):
-        pr.run_unentangled_batch(fns.quadratic(np.eye(2)), [0.0, 0.0],
+        baseline(fns.quadratic(np.eye(2)), [0.0, 0.0],
                                  budget, RngStream(43, 1), 10)
 
 
@@ -274,7 +280,7 @@ def test_unentangled_pilot_stage():
     f = fns.linear([1.0, 8.0])
     theta = [0.3, -0.2]
     budget = pr.ResourceBudget("photon-number", 100)
-    est = pr.run_unentangled_batch(f, theta, budget, RngStream(47), 2000,
+    est = baseline(f, theta, budget, RngStream(47), 2000,
                                    pilot_fraction=0.2)
     mse, _ = mse_and_se(est, f.value(theta))
     # the pilot spends budget to learn the weights, so it cannot beat the
@@ -282,10 +288,10 @@ def test_unentangled_pilot_stage():
     assert 0.0125 * 0.9 < mse < 0.0125 * 4.0
 
     with pytest.raises(ValueError):
-        pr.run_unentangled_batch(f, theta, budget, RngStream(47, 1), 10,
+        baseline(f, theta, budget, RngStream(47, 1), 10,
                                  pilot_fraction=1.2)
     with pytest.raises(ValueError, match="full span"):
-        pr.run_unentangled_batch(f, theta, pr.ResourceBudget("qubit-time", 10.0),
+        baseline(f, theta, pr.ResourceBudget("qubit-time", 10.0),
                                  RngStream(47, 2), 10, pilot_fraction=0.2)
 
 
@@ -299,11 +305,11 @@ def test_pilot_batch_matches_scalar_loop_draw_for_draw(fn, theta, photons, pilot
     # then d estimate normals, so a loop of single-trial calls on one
     # generator must agree with one call in every bit
     budget = pr.ResourceBudget("photon-number", photons)
-    batch = pr.run_unentangled_batch(fn, theta, budget, RngStream(53, 1), 300,
+    batch = baseline(fn, theta, budget, RngStream(53, 1), 300,
                                      pilot_fraction=pilot)
     gen = RngStream(53, 1).generator()
     loop = np.concatenate([
-        pr.run_unentangled_batch(fn, theta, budget, gen, 1, pilot)
+        baseline(fn, theta, budget, gen, 1, pilot)
         for _ in range(300)])
     assert batch.tobytes() == loop.tobytes()
 
@@ -322,22 +328,22 @@ def test_pilot_batch_rejects_bad_rows_without_nan():
     switch = lambda th, on, off: np.where(th[..., :1] >= 0.5, on, off) * np.ones(2)
     flat = _pilot_target(total, lambda th: switch(th, 1.0, 0.0))
     with pytest.raises(ValueError, match="zero gradient"):
-        pr.run_unentangled_batch(flat, theta, budget, RngStream(59), 200, 0.2)
+        baseline(flat, theta, budget, RngStream(59), 200, 0.2)
     gen = RngStream(59).generator()
     with pytest.raises(ValueError, match="zero gradient"):
         for _ in range(200):
-            pr.run_unentangled_batch(flat, theta, budget, gen, 1, 0.2)
+            baseline(flat, theta, budget, gen, 1, 0.2)
 
     pole = _pilot_target(total, lambda th: switch(th, np.inf, 1.0))
     with pytest.raises(fns.EvaluationError):
-        pr.run_unentangled_batch(pole, theta, budget, RngStream(59), 200, 0.2)
+        baseline(pole, theta, budget, RngStream(59), 200, 0.2)
 
     blowup = _pilot_target(
         lambda th: np.where(th[..., 0] >= 0.5, np.inf, total(th)),
         lambda th: np.ones_like(th))
     for pilot in (0.2, None):
         with pytest.raises(fns.EvaluationError):
-            pr.run_unentangled_batch(blowup, theta, budget, RngStream(59), 200,
+            baseline(blowup, theta, budget, RngStream(59), 200,
                                      pilot)
 
 
