@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsn import bounds, functions as fns, interpolation as ip
-from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse
+from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, fom_battery
 from qsn.protocol import ResourceBudget
 
 BEAM = ip.gaussian_beam()
@@ -114,3 +114,95 @@ def test_induced_point_model_bits():
     model = bounds.point_model(fn, ip.forward_readings(BEAM, TRUE, LAYOUT))
     assert digest(model) == (
         "fa5674240b6562c06592c5b4377073d7b52f4a71a4ac9d8465aac1ede224bf55")
+
+
+# -- point evaluations ----------------------------------------------------------
+
+
+POINT_FAMILIES = ("linear", "product", "quadratic", "composite")
+
+
+def point_target(family: str, d: int):
+    rng = np.random.default_rng(100 + d)
+    if family == "linear":
+        return fns.linear(rng.uniform(-2.0, 2.0, d))
+    if family == "composite":
+        return fns.composite(
+            lambda th: np.sin(th).sum(axis=-1) + th[..., 0] * th[..., -1], d)
+    return target(family, d)[0]
+
+
+def point_evaluations(family: str, d: int) -> list:
+    """value, gradient, hessian and every third slice at two points."""
+    fn = point_target(family, d)
+    out = []
+    for theta in (0.8 + 0.05 * np.arange(d),
+                  np.random.default_rng(d).uniform(-1.5, 1.5, d)):
+        out += [fn.value(theta), fn.gradient(theta), fn.hessian(theta)]
+        out += [fn.third_diag_slice(theta, j) for j in range(d)]
+    return out
+
+
+POINT_DIGESTS = {
+    ("linear", 1):
+        "5b459f8ac17d604bdfb70de3e7989f32dccd1b6ef2ea2636a0dc560253aa113a",
+    ("linear", 2):
+        "0a07e01b6082cc6575f595937977edff20a942afde60375f72e29b992e7c613a",
+    ("linear", 4):
+        "18e1c26747728f3353e4415d78411463a04c41e225f714fdf6e9c07c55761903",
+    ("linear", 32):
+        "de0519d945d13214e467d0cdf32a35daef10c83989401fd84da2560a3bdae41a",
+    ("product", 1):
+        "21df26b5332a2c0542060bd12cd2992ffec9ef470485611cb5f944534cd7ce8a",
+    ("product", 2):
+        "d4e75e79c8c420e6bb2052a24dff7f682db8f15c009d1e3019256c023da2d8df",
+    ("product", 4):
+        "8995ab8e2e3388ab493aff9d57b944f36d863dd362a0b6b9e613a969698cd93d",
+    ("product", 32):
+        "2b65ecd27affbe8bc1d03f07282dbf37f77e6f35e3408653f7077b122e9466e9",
+    ("quadratic", 1):
+        "9a7b46cec3e74cb1574baa8fd9c154945d5427a261d4e51377a4b459fdf7eb5e",
+    ("quadratic", 2):
+        "1d93ab401ca93f41684aee5214f9b2a4bb47a043ab3ed2aa0612738c959b5985",
+    ("quadratic", 4):
+        "f71ad80d584fede185f89dfaac1c2463702eb7b5e17946ec30b98aff3c93064e",
+    ("quadratic", 32):
+        "7501be22e9362974d31264169aa2a6409373b434119298237af4f6a0b016c3c6",
+    ("composite", 1):
+        "ec199f974ef0d5c1a7b1e9fcb2865aaab368868ae8b733dd3c8015a62c7ce3f1",
+    ("composite", 2):
+        "36728579304d2eb44dba320e5a184b7c2776ad84bd784105ca286616cdf43d66",
+    ("composite", 4):
+        "995f38873853978e6cc931435b66a655e59b8134c5698f6bdfbd961c75712bba",
+    ("composite", 32):
+        "96e2e3800c64034de4c7e31a7c8ae229b4d38e92339453c69b89d3d242ed39c7",
+}
+
+
+@pytest.mark.parametrize("family,d", sorted(POINT_DIGESTS))
+def test_point_evaluation_bits(family, d):
+    assert digest(point_evaluations(family, d)) == POINT_DIGESTS[family, d]
+
+
+def battery_gradients() -> list:
+    rng = np.random.default_rng(3)
+    return [fn.gradient(np.asarray(theta) + rng.normal(0.0, 0.1, len(theta)))
+            for fn, theta in fom_battery() for _ in range(4)]
+
+
+def test_battery_gradient_bits():
+    assert digest(battery_gradients()) == (
+        "b7cf0b1cdc85c8c4c3cb815560ffe29e424913ba338dfad4bb00e106b81e7f60")
+
+
+def induced_values() -> list:
+    fn = ip.induced_function(BEAM, LAYOUT, TRUE)
+    readings = ip.forward_readings(BEAM, TRUE, LAYOUT)
+    rng = np.random.default_rng(4)
+    return [fn.value(readings + rng.normal(0.0, s, 3))
+            for s in (0.0, 1e-3, 1e-2, 1e-1)]
+
+
+def test_induced_value_bits():
+    assert digest(induced_values()) == (
+        "d08dfa874235cf65ca47f756a315df646b61b048021ecf8f02f40036a5391487")
