@@ -317,10 +317,16 @@ def _cmd_verify_fom(args) -> int:
 
 def _cmd_interpolate(args) -> int:
     seed = resolve_seed(args)
-    layout = SensorLayout(locations=args.sensors, target=args.target)
-    report = run_interpolation(gaussian_beam(), args.params, layout,
-                               _budget_from(args), args.trials, seed,
-                               threads=args.threads)
+    beam = gaussian_beam()
+    for flag, values in (("--params", args.params), ("--sensors", args.sensors)):
+        if len(values) != beam.param_dim:
+            raise UsageError(f"{beam.label} needs {beam.param_dim} {flag}")
+    try:
+        layout = SensorLayout(locations=args.sensors, target=args.target)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    report = run_interpolation(beam, args.params, layout, _budget_from(args),
+                               args.trials, seed, threads=args.threads)
     _emit_rows(args, [{
         "truth": report.truth,
         "two_step_mse": report.two_step.mse,

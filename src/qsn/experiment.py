@@ -54,6 +54,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        if self.plan is not None and self.protocol != "two-step":
+            raise ValueError("an allocation plan applies to two-step runs only")
+        if self.pilot_fraction is not None and self.protocol != "unentangled":
+            raise ValueError("a pilot fraction applies to unentangled runs only")
         as_params(self.theta, self.function.dim)
 
     def resolved_plan(self) -> allocation.AllocationPlan:
@@ -275,11 +279,9 @@ def fom_battery() -> tuple:
     cubic = from_rules(
         dim=2,
         label="x1 x2 + 0.05 (x1^3 + x2^3)",
-        value_rule=lambda p: np.asarray(p, float)[..., 0] * np.asarray(p, float)[..., 1]
-        + 0.05 * (np.asarray(p, float)[..., 0] ** 3 + np.asarray(p, float)[..., 1] ** 3),
-        grad_rule=lambda p: np.array(
-            [p[1] + 0.15 * p[0] ** 2, p[0] + 0.15 * p[1] ** 2]
-        ),
+        value_rule=lambda p: p[:, 0] * p[:, 1]
+        + 0.05 * (p[:, 0] ** 3 + p[:, 1] ** 3),
+        grad_rule=None,
         hess_rule=lambda p: np.array(
             [[0.3 * p[0], 1.0], [1.0, 0.3 * p[1]]]
         ),
@@ -291,13 +293,9 @@ def fom_battery() -> tuple:
     quartic = from_rules(
         dim=2,
         label="x1^2 + x2^2 + 0.02 x1^2 x2^2",
-        value_rule=lambda p: np.asarray(p, float)[..., 0] ** 2
-        + np.asarray(p, float)[..., 1] ** 2
-        + 0.02 * np.asarray(p, float)[..., 0] ** 2 * np.asarray(p, float)[..., 1] ** 2,
-        grad_rule=lambda p: np.array(
-            [2.0 * p[0] + 0.04 * p[0] * p[1] ** 2,
-             2.0 * p[1] + 0.04 * p[0] ** 2 * p[1]]
-        ),
+        value_rule=lambda p: p[:, 0] ** 2 + p[:, 1] ** 2
+        + 0.02 * p[:, 0] ** 2 * p[:, 1] ** 2,
+        grad_rule=None,
         hess_rule=lambda p: np.array(
             [[2.0 + 0.04 * p[1] ** 2, 0.08 * p[0] * p[1]],
              [0.08 * p[0] * p[1], 2.0 + 0.04 * p[0] ** 2]]

@@ -11,7 +11,7 @@ central finite differences of the best lower-order rule, with per-order step
 sizes, each evaluating its whole stencil in one batched call.
 
 Conventions. Points are 1-D arrays of shape (d,), batches are (n, d) with the
-parameter axis last. Built-in rules are vectorized over the batch axis.
+parameter axis last; a point is evaluated as a batch of one.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ def as_params(theta, dim: int | None = None) -> np.ndarray:
 class AnalyticFunction:
     """A scalar function of d parameters with optional closed-form derivatives.
 
-    ``value_rule`` must accept arrays of shape (d,) or (n, d) and return a
-    scalar or (n,) array. Derivative rules, when given, take a single (d,)
-    point; ``grad_rule`` may additionally be batch-aware (shape (n, d) in,
-    (n, d) out) which the protocol simulators exploit. ``third_diag_rule(theta,
-    j)`` returns the slice f_{j,i,i} (i = 0..d-1), the only third derivatives
+    ``value_rule`` maps an (n, d) block to (n,) values, ``grad_batch_rule``
+    to (n, d) gradients, and a point is evaluated as a batch of one.
+    ``grad_rule`` adapts a gradient rule written for one (d,) point; it is
+    called row by row when no batch rule is set. ``hess_rule`` and
+    ``third_diag_rule(theta, j)`` take one (d,) point; the latter returns
+    the slice f_{j,i,i} (i = 0..d-1), the only third derivatives
     the two-step expansion reads. Missing rules are replaced by central
     finite differences of the best available lower-order rule: one batched
     ``gradients`` call on the stencil when there is a gradient rule, one
@@ -82,25 +83,26 @@ class AnalyticFunction:
     )
 
     @property
+    def gradient_exact(self) -> bool:
+        return self.grad_batch_rule is not None or self.grad_rule is not None
+
+    @property
     def derivatives_exact(self) -> bool:
         """True when first and second derivatives come from closed-form rules."""
-        return self.grad_rule is not None and self.hess_rule is not None
+        return self.gradient_exact and self.hess_rule is not None
 
     # -- point evaluation ---------------------------------------------------
 
     def value(self, theta) -> float:
         theta = as_params(theta, self.dim)
-        out = float(np.asarray(self.value_rule(theta)))
+        out = float(self.values(theta[None])[0])
         if not np.isfinite(out):
             raise EvaluationError(f"non-finite value of {self.label} at {theta}")
         return out
 
     def gradient(self, theta) -> np.ndarray:
         theta = as_params(theta, self.dim)
-        if self.grad_rule is not None:
-            g = np.asarray(self.grad_rule(theta), dtype=float)
-        else:
-            g = self._fd_gradients(theta[None])[0]
+        g = self.gradients(theta[None])[0]
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise EvaluationError(
@@ -133,7 +135,7 @@ class AnalyticFunction:
             raise ValueError(f"index {j} out of range for d={self.dim}")
         if self.third_diag_rule is not None:
             out = np.asarray(self.third_diag_rule(theta, j), dtype=float)
-        elif self.grad_rule is None:
+        elif not self.gradient_exact:
             out = self._fd_third_diag(theta, j)
         else:
             steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
@@ -153,8 +155,8 @@ class AnalyticFunction:
         points = self._as_batch(points)
         out = np.asarray(self.value_rule(points), dtype=float)
         if out.shape != (points.shape[0],):
-            # value rule not batch-aware; fall back to a row loop
-            out = np.array([float(self.value_rule(p)) for p in points])
+            raise ValueError(f"value rule of {self.label} returned shape "
+                             f"{out.shape}, expected {(points.shape[0],)}")
         return out
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
@@ -205,7 +207,7 @@ class AnalyticFunction:
         d = self.dim
         steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
         shifts = np.diag(steps)
-        if self.grad_rule is not None:
+        if self.gradient_exact:
             # differentiating the exact gradient is one order more accurate
             g = self.gradients(np.concatenate([theta + shifts, theta - shifts]))
             return (g[:d] - g[d:]) / (2.0 * steps[:, None])
@@ -306,8 +308,7 @@ def linear(weights, label: str | None = None) -> AnalyticFunction:
         dim=d,
         family="linear",
         label=label or "linear:" + ",".join(repr(float(x)) for x in w),
-        value_rule=lambda th: np.asarray(th, float) @ w,
-        grad_rule=lambda th: w.copy(),
+        value_rule=lambda pts: pts @ w,
         hess_rule=lambda th: np.zeros((d, d)),
         grad_batch_rule=lambda pts: np.broadcast_to(w, pts.shape).copy(),
         third_diag_rule=_zero_diag_slice(d),
@@ -372,8 +373,7 @@ def product(dim: int, label: str | None = None) -> AnalyticFunction:
         dim=dim,
         family="product",
         label=label or f"product:d={dim}",
-        value_rule=lambda th: fold_columns(np.multiply, th),
-        grad_rule=lambda th: _product_gradients(np.asarray(th, float)[None, :])[0],
+        value_rule=lambda pts: fold_columns(np.multiply, pts),
         hess_rule=hess,
         grad_batch_rule=_product_gradients,
         third_diag_rule=_zero_diag_slice(dim),
@@ -394,11 +394,7 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
         dim=d,
         family="quadratic",
         label=label or f"quadratic:d={d}",
-        value_rule=lambda th: np.einsum(
-            "...i,ij,...j->...", np.asarray(th, float), a, np.asarray(th, float)
-        )
-        + np.asarray(th, float) @ b,
-        grad_rule=lambda th: sym @ np.asarray(th, float) + b,
+        value_rule=lambda pts: np.einsum("ni,ij,nj->n", pts, a, pts) + pts @ b,
         hess_rule=lambda th: sym.copy(),
         grad_batch_rule=lambda pts: pts @ sym.T + b,
         third_diag_rule=_zero_diag_slice(d),
@@ -406,8 +402,8 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
 
 
 def composite(value_rule, dim: int, label: str = "composite") -> AnalyticFunction:
-    """Wrap a bare value rule; every derivative comes from finite differences
-    and reports flag as approximate (``derivatives_exact`` is False)."""
+    """Wrap a bare value rule of (n, d) blocks; every derivative comes from
+    finite differences and reports flag as approximate."""
     return AnalyticFunction(
         dim=dim, family="composite", label=label, value_rule=value_rule
     )
@@ -422,8 +418,9 @@ def from_rules(
     third_diag_rule=None,
     grad_batch_rule=None,
 ) -> AnalyticFunction:
-    """Custom function with explicit closed-form derivative rules;
-    ``third_diag_rule(theta, j)`` gives the slice f_{j,i,i}."""
+    """Custom function with explicit closed-form derivative rules, as in
+    :class:`AnalyticFunction`; ``grad_rule`` may be None when
+    ``grad_batch_rule`` is given."""
     return AnalyticFunction(
         dim=dim,
         family="custom",

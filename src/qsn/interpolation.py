@@ -87,6 +87,8 @@ class Ansatz:
                 f"jacobian rule returned shape {jac.shape}, expected "
                 f"{(x.size, self.param_dim)}"
             )
+        if not np.all(np.isfinite(jac)):
+            raise EvaluationError(f"non-finite Jacobian of {self.label}")
         return jac
 
     def field_batch(self, param_block: np.ndarray, x) -> np.ndarray:
@@ -406,12 +408,8 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         space.block, space.params = block, params
         return params
 
-    def value_rule(theta):
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        c = invert(theta[None, :] if single else theta)
-        vals = ansatz.field_batch(c, target)[:, 0]
-        return vals[0] if single else vals
+    def value_rule(points):
+        return ansatz.field_batch(invert(points), target)[:, 0]
 
     def grad_batch_rule(points):
         c = invert(points)
@@ -425,7 +423,6 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         family="induced",
         label=f"{ansatz.label}@x={layout.target!r}",
         value_rule=value_rule,
-        grad_rule=lambda th: grad_batch_rule(np.asarray(th, float)[None, :])[0],
         grad_batch_rule=grad_batch_rule,
     )
 

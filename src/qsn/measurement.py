@@ -73,11 +73,10 @@ def _generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or numpy Generator")
 
 
-def sample_param_estimates(theta, variances, rng, size: int | None = None) -> np.ndarray:
-    """Draw first-step estimates, theta_i + Normal(0, variances_i).
-
-    Returns shape (d,) or, with ``size``, (size, d). A zero variance pins the
-    component exactly; negative variances are an error.
+def sample_param_estimates(theta, variances, rng, size: int) -> np.ndarray:
+    """Draw ``size`` first-step estimates, theta_i + Normal(0, variances_i),
+    as a (size, d) block. A zero variance pins the component exactly;
+    negative variances are an error.
     """
     theta = as_params(theta)
     var = np.asarray(variances, dtype=float)
@@ -90,10 +89,10 @@ def sample_param_estimates(theta, variances, rng, size: int | None = None) -> np
     # costs page faults at Monte Carlo chunk sizes, and ``rowwise`` spares
     # a broadcast's loop call per row; the bits are those of
     # theta + sqrt(var) * normals either way
-    draws = gen.standard_normal((1 if size is None else size, theta.shape[0]))
+    draws = gen.standard_normal((size, theta.shape[0]))
     rowwise(np.multiply, draws, np.sqrt(var), out=draws)
     rowwise(np.add, draws, theta, out=draws)
-    return draws[0] if size is None else draws
+    return draws
 
 
 # -- GHZ linear-combination measurement ---------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsn
-from qsn import experiment, functions
+from qsn import experiment, functions, interpolation
 from qsn.cli import run_command
 from qsn.experiment import load_records
 from qsn.measurement import MODELING_ASSUMPTIONS
@@ -171,6 +171,7 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         raise AssertionError("Monte Carlo ran before the usage check")
 
     monkeypatch.setattr(experiment, "estimate_mse", no_monte_carlo)
+    monkeypatch.setattr(interpolation, "estimate_mse", no_monte_carlo)
     assert run_command(
         ["bounds", "--function", "linear:3,4", "--theta", "0,0,0",
          "--time", "10"]) == 2
@@ -203,6 +204,12 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     # seeds live in [0, 2^64), from the flag or the environment
     for seed in ("-1", str(2**64)):
         assert run_command([*simulate, "--time", "1e3", "--seed", seed]) == 2
+    interpolate = ["interpolate", "--target", "0.1", "--time", "1e4",
+                   "--trials", "200"]
+    for params, sensors in (("1,0", "-1,0.3,1.2"), ("1,0,1", "-1,0.3"),
+                            ("1,0,1", "-1,0.3,0.3")):
+        assert run_command([*interpolate, f"--params={params}",
+                            f"--sensors={sensors}"]) == 2
     monkeypatch.setenv("QSN_SEED", "-3")
     assert run_command([*simulate, "--time", "1e3"]) == 2
     err = capsys.readouterr().err
@@ -232,6 +239,14 @@ def test_runtime_errors_exit_1(capsys):
          "--time", "100"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # a zero waist leaves the anchor Jacobian 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = run_command(["interpolate", "--params=1,0,0",
+                            "--sensors=-1,0.3,1.2", "--target", "0.1",
+                            "--time", "1e4", "--trials", "200"])
+    assert code == 1
+    assert ("error: non-finite Jacobian of gaussian-beam"
+            in capsys.readouterr().err)
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -119,6 +119,17 @@ def test_all_degenerate_runs_rejected():
         ex.estimate_mse(cfg, 200, master_seed=1)
 
 
+def test_config_rejects_options_its_protocol_ignores():
+    base = fns.product(2)
+    budget = pr.ResourceBudget("photon-number", 1000)
+    plan = al.fixed_time_split(1e3, 0.5)
+    with pytest.raises(ValueError, match="pilot fraction"):
+        ex.ExperimentConfig(base, (1.0, 1.0), budget, pilot_fraction=0.1)
+    with pytest.raises(ValueError, match="plan"):
+        ex.ExperimentConfig(base, (1.0, 1.0), budget, protocol="unentangled",
+                            plan=plan)
+
+
 def test_mse_estimate_validation():
     with pytest.raises(ValueError):
         ex.MSEEstimate(trials=100, mse=-1.0, se=0.1, bias=0.0)
@@ -315,11 +326,10 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
                  "separable_split"):
         monkeypatch.setattr(ex, name, runner(getattr(ex, name)))
     base = fns.product(3)
-    fn = fns.from_rules(3, "counted product", base.value_rule,
-                        counted("grad", base.grad_rule),
+    fn = fns.from_rules(3, "counted product", base.value_rule, None,
                         counted("hess", base.hess_rule),
                         counted("third", base.third_diag_rule),
-                        grad_batch_rule=base.grad_batch_rule)
+                        grad_batch_rule=counted("grad", base.grad_batch_rule))
     cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3),
                               pr.ResourceBudget(kind, grid[0]),
                               protocol=protocol, policy=policy)
@@ -330,13 +340,24 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
 
 def test_separable_split_is_taken_once_per_estimate(monkeypatch):
     # three chunks share one allocation: the clairvoyant split's gradient
-    # and the pilot stage's split are each computed once per call
+    # and the pilot stage's split are each computed once per call; the
+    # pilot gradients the runner evaluates per trial are not counted
     calls = {"grad": 0, "pilot": 0}
     base = fns.product(3)
+    run_unentangled = ex.run_unentangled_batch
+    running = []
 
-    def grad(theta):
-        calls["grad"] += 1
-        return base.grad_rule(theta)
+    def grad(points):
+        if not running:
+            calls["grad"] += 1
+        return base.grad_batch_rule(points)
+
+    def runner(*args):
+        running.append(1)
+        try:
+            return run_unentangled(*args)
+        finally:
+            running.pop()
 
     pilot_stage = pr._pilot_stage
 
@@ -345,8 +366,9 @@ def test_separable_split_is_taken_once_per_estimate(monkeypatch):
         return pilot_stage(*args)
 
     monkeypatch.setattr(pr, "_pilot_stage", pilot)
-    fn = fns.from_rules(3, "counted product", base.value_rule, grad,
-                        base.hess_rule, grad_batch_rule=base.grad_batch_rule)
+    monkeypatch.setattr(ex, "run_unentangled_batch", runner)
+    fn = fns.from_rules(3, "counted product", base.value_rule, None,
+                        base.hess_rule, grad_batch_rule=grad)
     budget = pr.ResourceBudget("photon-number", 3000)
     for fraction in (None, 0.1):
         cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3), budget,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsn import allocation as al, bounds, functions as fns
+from qsn import experiment as ex, interpolation as ip
 
 
 def test_product_derivatives_at_ones():
@@ -200,6 +201,27 @@ def test_value_error_reports_nonfinite():
                       1, label="overflow")
     with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
         f.value([2000.0])
+
+
+def test_value_rule_of_the_wrong_shape_is_named():
+    # a value rule maps (n, d) blocks to (n,) values; there is no per-row
+    # fallback to guess at
+    f = fns.composite(lambda th: np.float64(0.0), 2, label="scalar-only")
+    for call in (lambda: f.values(np.zeros((3, 2))), lambda: f.value([0.0, 0.0])):
+        with pytest.raises(ValueError, match=r"value rule of scalar-only "
+                                             r"returned shape \(\)"):
+            call()
+
+
+def test_builtins_set_only_the_batch_gradient_rule():
+    beam = ip.induced_function(ip.gaussian_beam(),
+                               ip.SensorLayout((-1.0, 0.3, 1.2), 0.1),
+                               (1.0, 0.0, 1.0))
+    builtins = [fns.linear([3.0, 4.0]), fns.product(3), fns.quadratic(np.eye(2)),
+                beam, *(fn for fn, _ in ex.fom_battery())]
+    for f in builtins:
+        assert f.grad_rule is None and f.grad_batch_rule is not None, f.label
+        assert f.gradient_exact
 
 
 def test_batch_values_and_gradients_match_scalar():

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from dataclasses import replace
 
@@ -91,6 +92,24 @@ def test_ansatz_jacobian_shape_guard():
                     jacobian_rule=lambda c, x: x)
     with pytest.raises(ValueError, match="shape"):
         bad.jacobian((2.0,), [0.1, 0.2])
+
+
+def test_non_finite_anchor_jacobian_is_named():
+    # waist 0 makes the Jacobian 0/0; the anchor check names the ansatz
+    # instead of handing NaN to the condition number
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(fns.EvaluationError,
+                           match="non-finite Jacobian of gaussian-beam"):
+            ip.induced_function(BEAM, LAYOUT, (1.0, 0.0, 0.0))
+
+
+def test_rule_fields_keep_the_names_the_benchmark_tracer_wraps():
+    # perfbench/tracer.py replaces these fields by name
+    for cls, names in ((fns.AnalyticFunction,
+                        ("value_rule", "grad_rule", "grad_batch_rule")),
+                       (ip.Ansatz, ("field_rule", "jacobian_rule",
+                                    "field_batch_rule", "jacobian_batch_rule"))):
+        assert set(names) <= {f.name for f in dataclasses.fields(cls)}
 
 
 def test_batch_rules_report_their_own_faults():

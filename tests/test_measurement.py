@@ -29,15 +29,15 @@ def test_rng_stream_substream():
 
 def test_sample_param_estimates_examples():
     theta = np.array([0.4, -0.2])
-    pinned = ms.sample_param_estimates(theta, [0.0, 0.0], ms.RngStream(1))
-    np.testing.assert_array_equal(pinned, theta)
+    pinned = ms.sample_param_estimates(theta, [0.0, 0.0], ms.RngStream(1), 1)
+    np.testing.assert_array_equal(pinned, theta[None])
 
-    a = ms.sample_param_estimates(theta, [1.0, 2.0], ms.RngStream(3, 9))
-    b = ms.sample_param_estimates(theta, [1.0, 2.0], ms.RngStream(3, 9))
+    a = ms.sample_param_estimates(theta, [1.0, 2.0], ms.RngStream(3, 9), 1)
+    b = ms.sample_param_estimates(theta, [1.0, 2.0], ms.RngStream(3, 9), 1)
     np.testing.assert_array_equal(a, b)
 
     with pytest.raises(ValueError):
-        ms.sample_param_estimates(theta, [-1.0, 0.0], ms.RngStream(1))
+        ms.sample_param_estimates(theta, [-1.0, 0.0], ms.RngStream(1), 1)
 
 
 def test_sample_param_estimates_moments():
@@ -175,6 +175,22 @@ def test_lincomb_estimate_statistics():
     tight = run_two_step_batch(f, theta, fixed_time_split(1e9, 0.0),
                                ms.RngStream(2), 1)
     assert tight[0] == pytest.approx(q, abs=1e-7)
+
+
+@pytest.mark.parametrize("weights, photons, info", [
+    ((1.0, 3.0), 8, 4.0), ((1.0, -3.0), 8, 4.0), ((2.0, -1.0, 1.0), 12, 9.0),
+    ((0.5, 0.5, -1.0, 2.0), 40, 100.0),
+])
+def test_photon_schedule_reaches_the_lincomb_floor(weights, photons, info):
+    # where N |w| / |w|_1 is a whole vector the mode counts are exact, and
+    # the GHZ schedule's Fisher information is the inverse of the photon
+    # floor the protocol draws step 2 from
+    spec = ms.GHZSpec.for_photons(weights, photons)
+    theta = np.linspace(0.1, 0.4, len(weights))
+    floor = ms.lincomb_variance(weights, photons=photons)
+    assert 1.0 / floor == pytest.approx(info)
+    assert ms.parity_fisher_information(spec, theta) == pytest.approx(
+        1.0 / floor, rel=1e-6)
 
 
 def test_largest_remainder_examples():

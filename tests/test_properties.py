@@ -120,7 +120,7 @@ def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
 
         def batch(points):
             # column by column, so each row's bits depend on that row alone
-            out = np.tile(exact.grad_rule(np.zeros(d)), (len(points), 1))
+            out = np.tile(exact.gradient(np.zeros(d)), (len(points), 1))
             for k in range(d):
                 out += points[:, k:k + 1] * sym[:, k]
             return out
@@ -309,7 +309,7 @@ def test_non_finite_derivatives_raise_from_the_model(d, where, index, bad, kind)
             s[index % d] = bad
         return s
 
-    fn = fns.from_rules(d, "broken", base.value_rule, base.grad_rule, hess,
+    fn = fns.from_rules(d, "broken", base.value_rule, None, hess,
                         third, base.grad_batch_rule)
     theta = np.linspace(0.8, 1.4, d)
     with pytest.raises(fns.EvaluationError):
