@@ -31,8 +31,12 @@ s_i^2 = 1/t1^2 this becomes
 with j* the index of the largest |gradient component|. g3 comes from
 expanding E[f_j*(estimate)^2] at the fixed index j*; when two components of
 the gradient (nearly) tie, that expansion undershoots the true expectation of
-the max by a term of order s (see experiment.step2_floor_inflation, which
-measures it).
+the max by a term of order s; acceptance criterion 1's tie-exact references
+and ``test_two_step_tied_gradient_exceeds_fixed_index_prediction`` gate it.
+
+The entangled bounds are the step-2 variances the two-step runner draws,
+and the GHZ oracle certifies them: ``measurement.parity_fisher_information``
+of the schedule for weights w is the inverse of the bound for w . theta.
 
 All of these read the same few derivatives at one point: ``point_model``
 evaluates them once into a ``PointModel``, and the bounds here, the splits
@@ -168,42 +172,34 @@ def point_model(fn: AnalyticFunction, theta) -> PointModel:
                       third_slice=third, coeffs=coeffs, g1=g1, g2=g2, g3=g3)
 
 
+def _report(entangled: float, unentangled: float, kind: str,
+            resource: float, conjectured: bool = False) -> BoundReport:
+    """The ``BoundReport`` of the entangled and unentangled squared gradient
+    norms at a budget of ``resource``."""
+    degenerate = entangled == 0.0
+    return BoundReport(
+        entangled_bound=entangled / resource**2,
+        unentangled_baseline=unentangled / resource**2,
+        advantage_ratio=1.0 if degenerate else unentangled / entangled,
+        resource_kind=kind, resource=float(resource), degenerate=degenerate,
+        conjectured=conjectured)
+
+
 def qubit_bounds(model: PointModel, time: float) -> BoundReport:
     """Time-resource bounds: max_j f_j^2/t^2 vs |grad f|^2/t^2."""
     if not np.isfinite(time) or time <= 0:
         raise ValueError("time must be positive and finite")
     g = model.gradient
-    gmax_sq = float(np.max(g * g))
-    gnorm_sq = float(np.sum(g * g))
-    degenerate = gmax_sq == 0.0
-    ratio = 1.0 if degenerate else gnorm_sq / gmax_sq
-    return BoundReport(
-        entangled_bound=gmax_sq / time**2,
-        unentangled_baseline=gnorm_sq / time**2,
-        advantage_ratio=ratio,
-        resource_kind="qubit-time",
-        resource=float(time),
-        degenerate=degenerate,
-    )
+    return _report(float(np.max(g * g)), float(np.sum(g * g)), "qubit-time",
+                   time)
 
 
 def photon_bounds(model: PointModel, photons: float) -> BoundReport:
     """Photon-resource bounds: |grad f|_1^2/N^2 vs |grad f|_{2/3}^2/N^2."""
     if not np.isfinite(photons) or photons <= 0:
         raise ValueError("photon number must be positive and finite")
-    one_sq = model.one_norm_sq
-    tt_sq = two_thirds_norm_sq(model.gradient)
-    degenerate = one_sq == 0.0
-    ratio = 1.0 if degenerate else tt_sq / one_sq
-    return BoundReport(
-        entangled_bound=one_sq / photons**2,
-        unentangled_baseline=tt_sq / photons**2,
-        advantage_ratio=ratio,
-        resource_kind="photon-number",
-        resource=float(photons),
-        degenerate=degenerate,
-        conjectured=True,
-    )
+    return _report(model.one_norm_sq, two_thirds_norm_sq(model.gradient),
+                   "photon-number", photons, conjectured=True)
 
 
 def for_budget(model: PointModel, budget) -> BoundReport:

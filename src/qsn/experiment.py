@@ -245,29 +245,6 @@ def verify_general_fom(fn: AnalyticFunction, theta, variances, trials: int,
                      predicted=predicted, predicted_unsquared=predicted_unsq)
 
 
-def step2_floor_inflation(fn: AnalyticFunction, theta, sigma: float,
-                          trials: int, seed: int) -> float:
-    """E[max_i f_i(theta~)^2] / max_i f_i(theta)^2 - 1 under step-1 noise.
-
-    The two-step variance floor is set by the gradient at the *estimated*
-    point. Near ties between gradient components the maximum picks up a
-    positive O(sigma) excess that the fixed-index expansion misses; this
-    measures it, for diagnosing prediction gaps at tied-gradient points.
-    """
-    theta = as_params(theta, fn.dim)
-    g0 = np.max(np.abs(fn.gradient(theta)))
-    if g0 == 0.0:
-        raise bounds.DegenerateGradientError("zero gradient at the base point")
-
-    def draw(stream, n):
-        gen = stream.generator()
-        pts = theta + sigma * gen.standard_normal((n, fn.dim))
-        return np.max(np.abs(fn.gradients(pts)), axis=1)
-
-    _, m2, _ = collect_error_moments(draw, trials, RngStream(seed, 0))
-    return m2 / g0**2 - 1.0
-
-
 def fom_battery() -> tuple:
     """Ten (function, theta) pairs exercising the expansion check.
 

@@ -86,11 +86,6 @@ class AnalyticFunction:
     def gradient_exact(self) -> bool:
         return self.grad_batch_rule is not None or self.grad_rule is not None
 
-    @property
-    def derivatives_exact(self) -> bool:
-        """True when first and second derivatives come from closed-form rules."""
-        return self.gradient_exact and self.hess_rule is not None
-
     # -- point evaluation ---------------------------------------------------
 
     def value(self, theta) -> float:

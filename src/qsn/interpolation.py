@@ -68,12 +68,12 @@ class Ansatz:
         default=None, repr=False
     )
 
+    # a point rule runs without numpy warnings: non-finite output raises
     def field(self, params, x) -> np.ndarray:
         params = as_params(params, self.param_dim)
-        out = np.asarray(
-            self.field_rule(params, np.atleast_1d(np.asarray(x, dtype=float))),
-            dtype=float,
-        )
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            out = np.asarray(self.field_rule(params, x), dtype=float)
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"non-finite field value of {self.label}")
         return out
@@ -81,7 +81,8 @@ class Ansatz:
     def jacobian(self, params, x) -> np.ndarray:
         params = as_params(params, self.param_dim)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        jac = np.asarray(self.jacobian_rule(params, x), dtype=float)
+        with np.errstate(all="ignore"):
+            jac = np.asarray(self.jacobian_rule(params, x), dtype=float)
         if jac.shape != (x.size, self.param_dim):
             raise ValueError(
                 f"jacobian rule returned shape {jac.shape}, expected "

@@ -1,14 +1,13 @@
 """Measurement primitives: seeded random streams, per-parameter estimates,
-GHZ parity sampling for linear combinations, and photon-mode bookkeeping.
+the GHZ schedules that realize a linear combination, and photon-mode
+bookkeeping.
 
-Two fidelities coexist deliberately. The distribution-level laws
-(:func:`sample_param_estimates` for step 1, :func:`lincomb_variance` for
-the linear-combination floor) are the asymptotic Gaussian laws of the
-underlying estimation schemes; the protocol simulators draw from them. The
-physics-level path (:class:`GHZSpec`, :func:`ghz_parity_shots`) samples
-actual +-1 parity outcomes of the entangled state so the asymptotic laws
-themselves can be validated, shot by shot, against the likelihood they are
-supposed to come from.
+The protocol simulators draw Gaussian step-1 estimates
+(:func:`sample_param_estimates`) and a Gaussian step-2 combination at the
+entangled floor that ``bounds.qubit_bounds`` and ``bounds.photon_bounds``
+report. The GHZ schedule (:class:`GHZSpec`) is the oracle for that floor:
+the Fisher information of its parity signal (:func:`parity_fisher_information`,
+with the phase from :func:`relative_phase`) is the inverse of the bound.
 """
 
 from __future__ import annotations
@@ -124,16 +123,21 @@ class GHZSpec:
             raise ValueError("weights must be a finite nonempty vector")
         if np.all(w == 0.0):
             raise ValueError("weights must not all vanish")
+        # relative_phase is phase_scale * (w . theta), up to the photon
+        # counts' rounding, only for schedules proportional to |w|
         if self.kind == "qubit-time":
             tau = np.asarray(self.durations, dtype=float)
-            if tau.shape != w.shape or np.any(tau < 0):
-                raise ValueError("durations must be nonnegative, one per sensor")
-            if not np.isclose(tau.max(), self.time):
-                raise ValueError("the max-weight sensor must run the full time")
+            if tau.shape != w.shape or not 0.0 < tau.max() < np.inf:
+                raise ValueError("durations must be finite, one per sensor")
+            if not np.allclose(tau, tau.max() * np.abs(w) / np.abs(w).max(),
+                               atol=0.0):
+                raise ValueError("durations must be proportional to |weights|")
         elif self.kind == "photon-number":
-            n = np.asarray(self.mode_counts, dtype=int)
-            if n.shape != w.shape or np.any(n < 0):
-                raise ValueError("mode counts must be nonnegative, one per mode")
+            n = np.asarray(self.mode_counts)
+            if n.shape != w.shape or not np.array_equal(
+                    n, photon_mode_counts(w, int(n.sum()))):
+                raise ValueError("mode counts must apportion their total "
+                                 "to |weights|")
         else:
             raise ValueError("kind must be 'qubit-time' or 'photon-number'")
 
@@ -177,20 +181,6 @@ def relative_phase(spec: GHZSpec, theta) -> float:
     return float(np.sum(np.sign(w) * np.asarray(spec.mode_counts) * theta))
 
 
-def parity_probability(spec: GHZSpec, theta) -> float:
-    """P(parity = +1) = (1 + cos phi)/2."""
-    return 0.5 * (1.0 + np.cos(relative_phase(spec, theta)))
-
-
-def ghz_parity_shots(spec: GHZSpec, theta, shots: int, rng) -> np.ndarray:
-    """Sample +-1 parity outcomes of the entangled schedule at theta."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    p = parity_probability(spec, theta)
-    gen = _generator(rng)
-    return np.where(gen.random(shots) < p, 1, -1)
-
-
 def phase_scale(spec: GHZSpec) -> float:
     """d phi / d q for q = weights . theta: t/max|w| (time) or N/sum|w|-like
     count scale (photons)."""
@@ -199,11 +189,7 @@ def phase_scale(spec: GHZSpec) -> float:
         return float(spec.time / w.max())
     # phase = sum sign(w_i) n_i theta_i; for n_i proportional to |w_i| this
     # is (sum n_i / sum |w_i|) * q up to rounding
-    counts = np.asarray(spec.mode_counts, dtype=float)
-    nz = w > 0
-    if not np.any(nz):
-        raise ValueError("weights must not all vanish")
-    return float(np.sum(counts[nz]) / np.sum(w[nz]))
+    return float(np.sum(spec.mode_counts) / np.sum(w))
 
 
 def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float:
@@ -230,24 +216,6 @@ def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float
         d = (logp(outcome, q + h) - logp(outcome, q - h)) / (2.0 * h)
         info += p * d * d
     return float(info)
-
-
-# -- distribution-level linear-combination floor ------------------------------
-
-
-def lincomb_variance(weights, *, time: float | None = None, photons: float | None = None) -> float:
-    """Variance floor of the optimal linear-combination measurement:
-    max_i w_i^2/t^2 with time, |w|_1^2/N^2 with photons."""
-    w = np.asarray(weights, dtype=float)
-    if (time is None) == (photons is None):
-        raise ValueError("give exactly one of time or photons")
-    if time is not None:
-        if time <= 0:
-            raise ValueError("time must be positive")
-        return float(np.max(w * w) / time**2)
-    if photons <= 0:
-        raise ValueError("photon number must be positive")
-    return float(np.sum(np.abs(w)) ** 2 / photons**2)
 
 
 # -- integer apportionment -----------------------------------------------------

@@ -8,11 +8,12 @@ the measured combination. ``run_unentangled_batch`` plays the separable
 baseline: estimate every parameter on its own and plug into the function.
 
 Both draw estimator outcomes directly from the known sampling distributions
-(Gaussian step-1 marginals, Gaussian linear-combination noise at the
-variance floor ``measurement.lincomb_variance``) rather than simulating shot
-records. The floors they use are exactly the ones
-``measurement.parity_fisher_information`` certifies, so the shot-level
-physics is tested once, there, and the Monte Carlo stays cheap enough for
+rather than simulating shot records: Gaussian step-1 marginals, and a
+Gaussian step-2 combination at the entangled floor that
+``bounds.qubit_bounds`` and ``bounds.photon_bounds`` report for the gradient
+at the step-1 estimate. The GHZ schedule's parity Fisher information
+(``measurement.parity_fisher_information``) certifies that floor, so the
+physics is checked once, there, and the Monte Carlo stays cheap enough for
 1e6-trial batteries.
 """
 

@@ -178,8 +178,10 @@ def test_criterion_4_parity_fisher_information():
         spec = ms.GHZSpec.for_time(alpha, t)
         fi = ms.parity_fisher_information(spec, theta)
         expected = (t / np.abs(alpha).max()) ** 2
-        assert expected == pytest.approx(1.0 / ms.lincomb_variance(
-            alpha, time=t), rel=1e-12)
+        # the schedule certifies the entangled bound qsn reports
+        reported = bounds.qubit_bounds(
+            bounds.point_model(fns.linear(alpha), theta), t).entangled_bound
+        assert expected == pytest.approx(1.0 / reported, rel=1e-12)
         worst = max(worst, abs(fi / expected - 1.0))
     ok = worst <= 1e-6
     report(4, ok, f"20 random GHZ schedules, worst relative FI error "

@@ -45,11 +45,8 @@ def test_collect_error_moments_rejects_bad_draws():
 
 
 def test_harness_rejects_nonpositive_trials():
-    # the shared harness checks the count, so every driver inherits it:
-    # -5 trials used to read an inflation of -1.0 and 0 divided by zero
+    # the shared harness checks the count, so every driver inherits it
     for trials in (-5, 0):
-        with pytest.raises(ValueError, match="trials must be positive"):
-            ex.step2_floor_inflation(fns.product(2), (1, 1.3), 0.01, trials, 1)
         with pytest.raises(ValueError, match="trials must be positive"):
             ex.collect_error_moments(lambda s, n: np.zeros(n), trials,
                                      RngStream(1))
@@ -215,19 +212,6 @@ def test_fom_battery_squared_formula_wins():
         fn, theta = next(p for p in ex.fom_battery() if p[0].label == label)
         rep = ex.verify_general_fom(fn, theta, 0.01, 30000, seed=11)
         assert rep.z_unsquared > 10, (label, rep.z_unsquared)
-
-
-def test_step2_floor_inflation():
-    f = fns.product(2)
-    # tied gradient components: the max inflates by about 2 sigma/sqrt(pi)
-    infl = ex.step2_floor_inflation(f, (1.0, 1.0), 0.1, 200000, seed=7)
-    assert 0.10 < infl < 0.14
-    # well-separated components: only the benign sigma^2 term remains
-    infl = ex.step2_floor_inflation(f, (1.0, 0.5), 0.1, 200000, seed=7)
-    assert infl < 0.03
-    with pytest.raises(Exception):
-        ex.step2_floor_inflation(fns.quadratic(np.eye(2)), (0.0, 0.0), 0.1,
-                                 1000, seed=7)
 
 
 def test_sweep_records_product():

@@ -112,6 +112,52 @@ def test_rule_fields_keep_the_names_the_benchmark_tracer_wraps():
         assert set(names) <= {f.name for f in dataclasses.fields(cls)}
 
 
+def test_module_names_the_benchmark_patches_are_where_it_looks():
+    # perfbench/workloads.py replaces these in their owners' namespaces, and
+    # skips (reading 0) a name its owner no longer holds
+    from qsn import (allocation, cli, experiment, functions, measurement,
+                     protocol)
+    for owner, names in (
+            (experiment, ("collect_error_moments", "run_two_step_batch",
+                          "run_unentangled_batch", "build_plan")),
+            (protocol, ("sample_param_estimates",)),
+            (measurement.RngStream, ("generator",)),
+            (allocation, ("predicted_mse", "continuous_pairwise_partition")),
+            (ip, ("predicted_mse", "induced_function", "_batch_newton",
+                  "estimate_mse")),
+            (bounds, ("photon_residual_coefficient", "qubit_bounds",
+                      "photon_bounds")),
+            (cli, ("sweep_resource", "run_command")),
+            (functions, ("product",))):
+        for name in names:
+            assert name in owner.__dict__, (owner.__name__, name)
+
+
+def test_calls_go_through_the_names_the_benchmark_patches(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in ("qubit_bounds", "photon_bounds"):
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    model = bounds.point_model(fns.product(2), (1.0, 2.0))
+    bounds.for_budget(model, ResourceBudget("qubit-time", 10.0))
+    bounds.for_budget(model, ResourceBudget("photon-number", 10))
+    assert calls == ["qubit_bounds", "photon_bounds"]
+    # the benchmark splits the beam's wall time per protocol through
+    # interpolation.estimate_mse: one call each, then the bound
+    calls.clear()
+    monkeypatch.setattr(ip, "estimate_mse",
+                        counting("estimate_mse", ip.estimate_mse))
+    ip.run_interpolation(BEAM, TRUE, LAYOUT, ResourceBudget("qubit-time", 1e4),
+                         trials=100, seed=1)
+    assert calls == ["estimate_mse", "estimate_mse", "qubit_bounds"]
+
+
 def test_batch_rules_report_their_own_faults():
     block = READINGS + np.zeros((4, 3))
     # a Jacobian rule of the wrong shape is named, not taken for a singular

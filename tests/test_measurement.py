@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsn import measurement as ms
+from qsn import bounds, measurement as ms
 from qsn.allocation import fixed_time_split
 from qsn.functions import linear
 from qsn.protocol import run_two_step_batch
@@ -50,6 +50,15 @@ def test_sample_param_estimates_moments():
     assert abs(np.mean(d**4) - 3.0) < 0.15
 
 
+def entangled_floor(weights, time=None, photons=None):
+    """The entangled bound qsn reports for the linear target weights . theta
+    (the same at every theta)."""
+    model = bounds.point_model(linear(weights), np.zeros(len(weights)))
+    if time is not None:
+        return bounds.qubit_bounds(model, time).entangled_bound
+    return bounds.photon_bounds(model, photons).entangled_bound
+
+
 def test_ghz_spec_schedules():
     spec = ms.GHZSpec.for_time([3.0, -4.0], 2.0)
     np.testing.assert_allclose(spec.durations, [1.5, 2.0])
@@ -62,6 +71,37 @@ def test_ghz_spec_schedules():
         ms.GHZSpec.for_time([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         ms.GHZSpec.for_time([1.0, 1.0], 0.0)
+
+
+def test_ghz_spec_rejects_schedules_off_the_weights():
+    # durations not proportional to |w|: the phase at theta = (0.1, 0.3)
+    # reads 0.5, where phase_scale * q = 1 * 0.7
+    with pytest.raises(ValueError, match="proportional"):
+        ms.GHZSpec((1.0, 2.0), "qubit-time", durations=(2.0, 1.0))
+    with pytest.raises(ValueError, match="apportion"):
+        ms.GHZSpec((1.0, 2.0), "photon-number", mode_counts=(7, 1))
+    for durations in ((0.0, 0.0), (1.0, np.inf), (-0.5, 1.0), (1.0,)):
+        with pytest.raises(ValueError):
+            ms.GHZSpec((1.0, 2.0), "qubit-time", durations=durations)
+    for counts in ((0, 0), (-1, 9), (3,)):
+        with pytest.raises(ValueError):
+            ms.GHZSpec((1.0, 3.0), "photon-number", mode_counts=counts)
+
+
+def test_ghz_spec_accepts_its_own_schedules():
+    # 1000 random weight vectors, each scheduled for time and for photons
+    rng = np.random.default_rng(53)
+    for _ in range(1000):
+        d = int(rng.integers(1, 9))
+        w = rng.uniform(-3.0, 3.0, size=d) * 10.0 ** rng.integers(-3, 4)
+        w[rng.random(d) < 0.2] = 0.0
+        if np.all(w == 0.0):
+            w[0] = 1.0
+        theta = rng.uniform(-1.0, 1.0, size=d)
+        spec = ms.GHZSpec.for_time(w, float(rng.uniform(0.01, 1e4)))
+        assert ms.relative_phase(spec, theta) == pytest.approx(
+            ms.phase_scale(spec) * (w @ theta), rel=1e-9, abs=1e-9)
+        ms.GHZSpec.for_photons(w, int(rng.integers(1, 10**5)))
 
 
 def test_relative_phase_matches_scale_times_q():
@@ -79,49 +119,12 @@ def test_relative_phase_matches_scale_times_q():
     assert ms.phase_scale(spec) == pytest.approx(2.0)
 
 
-def test_parity_shot_examples():
-    spec = ms.GHZSpec.for_time([3.0, 4.0], 1.0)
-    shots = ms.ghz_parity_shots(spec, [0.0, 0.0], 200, ms.RngStream(5))
-    assert np.all(shots == 1)
-
-    spec = ms.GHZSpec.for_time([1.0, 1.0], 1.0)
-    assert ms.parity_probability(spec, [np.pi / 4, np.pi / 4]) == pytest.approx(0.5)
-
-    with pytest.raises(ValueError):
-        ms.ghz_parity_shots(spec, [0.0, 0.0], 0, ms.RngStream(5))
-
-
-def test_parity_frequency_matches_probability():
-    # 20 random schedules, 1e5 shots each, binomial 4-sigma gate
-    rng = np.random.default_rng(41)
-    shots = 10**5
-    done = 0
-    k = 0
-    while done < 20:
-        k += 1
-        d = int(rng.integers(1, 5))
-        alpha = rng.uniform(-2.0, 2.0, size=d)
-        if np.all(alpha == 0.0):
-            continue
-        theta = rng.uniform(-1.0, 1.0, size=d)
-        t = float(rng.uniform(0.5, 3.0))
-        spec = ms.GHZSpec.for_time(alpha, t)
-        p = ms.parity_probability(spec, theta)
-        if not 0.05 < p < 0.95:
-            continue
-        outcomes = ms.ghz_parity_shots(spec, theta, shots, ms.RngStream(900 + k))
-        freq = np.mean(outcomes == 1)
-        se = np.sqrt(p * (1.0 - p) / shots)
-        assert abs(freq - p) < 4.0 * se
-        done += 1
-
-
 def test_parity_fisher_information_example():
     spec = ms.GHZSpec.for_time([3.0, 4.0], 2.0)
     info = ms.parity_fisher_information(spec, [0.05, 0.02])
     assert info == pytest.approx(0.25, rel=1e-6)
-    # matches 1/(protocol variance * shots) for one shot
-    var = ms.lincomb_variance([3.0, 4.0], time=2.0)
+    # the inverse of the entangled bound reported for 3 x1 + 4 x2
+    var = entangled_floor([3.0, 4.0], time=2.0)
     assert info == pytest.approx(1.0 / var, rel=1e-6)
 
 
@@ -146,17 +149,6 @@ def test_parity_fisher_information_random_and_phase_free():
         done += 1
 
 
-def test_lincomb_variance_examples():
-    assert ms.lincomb_variance([3.0, 4.0], time=10.0) == pytest.approx(0.16)
-    assert ms.lincomb_variance([1.0, 1.0], photons=10) == pytest.approx(0.04)
-    with pytest.raises(ValueError):
-        ms.lincomb_variance([1.0], time=1.0, photons=1)
-    with pytest.raises(ValueError):
-        ms.lincomb_variance([1.0])
-    with pytest.raises(ValueError):
-        ms.lincomb_variance([1.0], time=0.0)
-
-
 def test_lincomb_estimate_statistics():
     # the two-step runner's linear-combination draw: a linear target under a
     # step-1-free plan is estimated by the combination alone, so over 1e6
@@ -167,7 +159,7 @@ def test_lincomb_estimate_statistics():
     draws = run_two_step_batch(f, theta, fixed_time_split(10.0, 0.0),
                                ms.RngStream(19), n)
     q = 3.0 * 0.2 + 4.0 * (-0.5)
-    var = ms.lincomb_variance([3.0, 4.0], time=10.0)
+    var = entangled_floor([3.0, 4.0], time=10.0)
     assert abs(np.var(draws) - var) < 0.01 * var
     assert abs(draws.mean() - q) < 5 * np.sqrt(var / n)
 
@@ -184,10 +176,10 @@ def test_lincomb_estimate_statistics():
 def test_photon_schedule_reaches_the_lincomb_floor(weights, photons, info):
     # where N |w| / |w|_1 is a whole vector the mode counts are exact, and
     # the GHZ schedule's Fisher information is the inverse of the photon
-    # floor the protocol draws step 2 from
+    # bound reported for w . theta, the floor step 2 is drawn at
     spec = ms.GHZSpec.for_photons(weights, photons)
     theta = np.linspace(0.1, 0.4, len(weights))
-    floor = ms.lincomb_variance(weights, photons=photons)
+    floor = entangled_floor(weights, photons=photons)
     assert 1.0 / floor == pytest.approx(info)
     assert ms.parity_fisher_information(spec, theta) == pytest.approx(
         1.0 / floor, rel=1e-6)

@@ -1,10 +1,15 @@
 """Property tests, bounded so that the suite stays fast."""
 
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qsn import allocation as al, bounds, functions as fns, interpolation as ip
+from qsn.cli import run_command
 from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, sweep_resource
 from qsn.measurement import largest_remainder
 from qsn.protocol import ResourceBudget, build_plan
@@ -320,3 +325,97 @@ def test_non_finite_derivatives_raise_from_the_model(d, where, index, bad, kind)
                                protocol=protocol)
         with pytest.raises(fns.EvaluationError):
             sweep_resource(cfg, [1000], trials=100, master_seed=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       ulps=st.integers(0, 3), x=st.floats(1e-3, 1e3),
+       signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])))
+def test_near_tied_gradients_on_the_model(d, seed, ulps, x, signs):
+    # two components of quadratic(I)'s gradient 2 theta sit 0-3 ulps apart,
+    # the others well below them
+    rng = np.random.default_rng(seed)
+    i, j = sorted(rng.choice(d, size=2, replace=False))
+    theta = rng.uniform(-0.5, 0.5, size=d) * x
+    big = x
+    for _ in range(ulps):
+        big = np.nextafter(big, np.inf)
+    theta[i], theta[j] = (x, big) if rng.random() < 0.5 else (big, x)
+    theta[i] *= signs[0]
+    theta[j] *= signs[1]
+    fn = fns.quadratic(np.eye(d))
+    model = bounds.point_model(fn, theta)
+    g = fn.gradient(theta)
+    assert abs(g[i]) != abs(g[j]) or ulps == 0
+    # the larger one wins, the lower index on an exact tie
+    want = i if abs(theta[i]) >= abs(theta[j]) else j
+    assert model.argmax_index == want
+    assert model.g2 == g[want] ** 2
+    plan = al.optimal_time_split(model, 1e4)
+    assert np.isfinite(plan.t1) and np.isfinite(plan.t2)
+    assert abs(plan.t1 + plan.t2 - 1e4) <= np.spacing(1e4)
+    plan = al.optimal_photon_split(model, 10**4)
+    assert plan.n1 + plan.n2 == 10**4 and sum(plan.mode_counts) == plan.n1
+
+
+def flag(valid, invalid):
+    """A flag value drawn valid two times in three."""
+    return (st.sampled_from(valid) | st.sampled_from(valid)
+            | st.sampled_from(invalid))
+
+
+# invalid flag values: zero, negative, non-finite, wrong-length, zero-waist
+# and unknown ones
+BUDGET = flag([["--time=1e3"], ["--photons=100"]],
+              [[], ["--time=0"], ["--time=-5"], ["--time=inf"], ["--time=nan"],
+               ["--photons=0"], ["--photons=-3"],
+               ["--time=1e3", "--photons=100"]])
+FUNCTION = flag(["product:d=2", "linear:3,-4", "quadratic:A=1,0;0,1"],
+                ["nope:1", "product:d=0", "linear:nan,1"])
+THETA = flag(["1,1", "0,0", "-1,2"], ["1", "1,1,1", "nan,1", "inf,0"])
+POLICY = flag(["optimal", "numeric", "power:1,0.7", "fixed:10"],
+              ["fixed:-1", "fixed:1e9", "bogus", "power:x"])
+PARAMS = flag(["1,0,1", "1,0,-1", "2,0.1,1.5"],
+              ["1,0,0", "0,0,1", "1,0", "nan,0,1", "1,0,1,2"])
+SENSORS = flag(["-1,0.3,1.2", "0,1,2"], ["-1,0.3,0.3", "-1,0.3"])
+TARGET = flag(["0.1", "-0.5"], ["nan", "inf"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["bounds", "allocate", "interpolate"]),
+       function=FUNCTION, theta=THETA, policy=POLICY, params=PARAMS,
+       sensors=SENSORS, target=TARGET, budget=BUDGET)
+# a zero waist, and the beam's photon plan (about 0.6 s: its mode partition
+# runs all 20,000 iterations without converging)
+@example(command="interpolate", function="product:d=2", theta="1,1",
+         policy="optimal", params="1,0,0", sensors="-1,0.3,1.2",
+         target="0.1", budget=["--time=1e3"])
+@example(command="interpolate", function="product:d=2", theta="1,1",
+         policy="optimal", params="1,0,1", sensors="-1,0.3,1.2",
+         target="0.1", budget=["--photons=100"])
+def test_cli_exits_0_1_or_2_and_fails_cleanly(command, function, theta, policy,
+                                              params, sensors, target, budget):
+    if command == "interpolate":
+        argv = [command, f"--params={params}", f"--sensors={sensors}",
+                f"--target={target}", "--trials=100", "--threads=1",
+                "--seed=3"]
+    else:
+        argv = [command, f"--function={function}", f"--theta={theta}"]
+        if command == "allocate":
+            argv.append(f"--alloc={policy}")
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        try:
+            code = run_command(argv + budget)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert "Warning" not in err.getvalue()

@@ -82,8 +82,7 @@ def test_two_step_product_matches_prediction_off_tie():
 def test_two_step_tied_gradient_exceeds_fixed_index_prediction():
     # at exactly tied |gradient| components the expectation of the running
     # max exceeds the fixed-index expansion by an order-s term, so the
-    # empirical MSE sits systematically above mse_at; this is the mechanism
-    # quantified by experiment.step2_floor_inflation
+    # empirical MSE sits systematically above mse_at
     f = fns.product(2)
     theta = [1.0, 1.0]
     coeffs = bounds.point_model(f, theta)
