@@ -16,6 +16,8 @@ parameter axis last; a point is evaluated as a batch of one.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -288,6 +290,31 @@ def rowwise(ufunc: np.ufunc, a, b, out: np.ndarray) -> np.ndarray:
         pair = (vec, block[m:]) if vec_first else (block[m:], vec)
         ufunc(*pair, out=out[m:])
     return out
+
+
+class Workspace(threading.local):
+    """One thread's reusable arrays, by name, plus a one-entry memo.
+
+    ``take`` hands out a named buffer of the asked shape and dtype with
+    stale contents; a buffer grows to the largest size asked of it and is
+    never shrunk, so equal-sized chunks on one thread reuse the same memory
+    instead of allocating (and page-faulting) it afresh. Each thread that
+    touches an instance gets its own buffers, so concurrent chunks stay off
+    each other's. ``memo`` is a slot the owner may use to keep one result
+    between calls. What a call takes from a workspace is overwritten by the
+    next call on that thread, so it must not be handed back to a caller.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+        self.memo = None
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _zero_diag_slice(dim: int):

@@ -16,8 +16,6 @@ evaluating F afterwards is not offered.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,7 +24,7 @@ import numpy as np
 from . import bounds, experiment
 from .allocation import predicted_mse
 from .experiment import ExperimentConfig, MSEEstimate, estimate_mse
-from .functions import AnalyticFunction, EvaluationError, as_params
+from .functions import AnalyticFunction, EvaluationError, Workspace, as_params
 from .protocol import ResourceBudget
 
 # Layouts whose sensor Jacobian is worse-conditioned than this are rejected
@@ -208,28 +206,6 @@ def forward_readings(ansatz: Ansatz, params, layout: SensorLayout) -> np.ndarray
 SOLVE_WORK_ROWS = 13
 
 
-class _Workspace(threading.local):
-    """One thread's reusable float buffers, plus its inversion memo.
-
-    ``take`` hands out a named buffer of the asked shape with stale contents;
-    a buffer grows to the largest shape asked of it and is never shrunk, so
-    equal-sized chunks on one thread reuse the same memory instead of
-    allocating (and page-faulting) it afresh.
-    """
-
-    def __init__(self):
-        self.buffers = {}
-        self.block = None
-        self.params = None
-
-    def take(self, name: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
                 work: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -314,7 +290,7 @@ def _dot(p, q, out, tmp):
 
 
 def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
-                  start: np.ndarray, space: _Workspace | None = None) -> np.ndarray:
+                  start: np.ndarray, space: Workspace | None = None) -> np.ndarray:
     """Invert the square sensor map for a block of reading rows.
 
     Every row starts from the same anchor, so the inversion is a pure
@@ -334,7 +310,7 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
         # every row at the anchor
         raise EvaluationError("non-finite sensor reading")
     if space is None:
-        space = _Workspace()
+        space = Workspace()
     shape = readings.shape
     resid, size = space.take("resid", shape), space.take("size", shape)
     step = space.take("step", shape)
@@ -371,9 +347,9 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
     step-1 draws run one Newton inversion. The memo keeps its own copy of
     the block, so a block changed in place is inverted afresh.
 
-    Each thread also keeps a workspace (``_Workspace``) holding the Newton
-    residual, its magnitude, the step and the iterate, the 3x3 solves' work
-    block and the memo's copy of the block. Freed chunk-sized temporaries
+    Each thread also keeps a workspace (``functions.Workspace``) holding
+    the Newton residual, its magnitude, the step and the iterate, the 3x3
+    solves' work block and the memo. Freed chunk-sized temporaries
     go back to the system between chunks and are page-faulted in again on
     the next, so reusing buffers saves that time; keeping them per thread
     keeps concurrent chunks off each other's buffers. Values, gradients and
@@ -394,19 +370,21 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
         )
     target = np.array([layout.target])
     locs = layout.points()
-    space = _Workspace()
+    space = Workspace()
 
     def invert(points):
-        last = space.block
-        # compared bit by bit, as a bytes key would: -0.0 is not 0.0 here
-        if (last is not None and last.shape == points.shape
-                and np.array_equal(last.view(np.int64), points.view(np.int64))):
-            return space.params
+        # the memo holds (block, params); the block is compared bit by bit,
+        # as a bytes key would be: -0.0 is not 0.0 here
+        if space.memo is not None:
+            last, params = space.memo
+            if last.shape == points.shape and np.array_equal(
+                    last.view(np.int64), points.view(np.int64)):
+                return params
         params = _batch_newton(ansatz, layout, points, anchor, space)
         params.flags.writeable = False
         block = space.take("block", points.shape)
         block[...] = points
-        space.block, space.params = block, params
+        space.memo = block, params
         return params
 
     def value_rule(points):

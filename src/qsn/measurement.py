@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import as_params, rowwise
+from .functions import Workspace, as_params, rowwise
 
 # Modeling assumptions behind the distribution-level samplers; exported into
 # result metadata so downstream records are self-describing.
@@ -225,10 +225,16 @@ def largest_remainder(weights, total: int) -> np.ndarray:
     """Apportion ``total`` integer units proportionally to nonnegative weights.
 
     ``weights`` is one vector of shape (d,) or a stack of shape (n, d) whose
-    rows are apportioned independently, each to the same ``total``. Floors
-    the exact quotas, then hands leftover units to the largest fractional
-    remainders, ties to the lowest index. Zero weights get zero.
-    Deterministic, and the counts of every row sum to ``total``.
+    rows are apportioned independently, each to the same ``total``; a
+    vector is a stack of one. Floors the exact quotas, then hands leftover
+    units to the largest fractional remainders, ties to the lowest index.
+    Zero weights get zero. Deterministic, and the counts of every row sum to
+    ``total``. The result is a fresh C-ordered int array of the weights'
+    shape; the weights are only read, never written.
+
+    The work runs on a parameter-major (d, n) copy (see ``_apportion``), so
+    each step is one elementwise call per parameter instead of one loop
+    call per row.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] == 0:
@@ -240,17 +246,53 @@ def largest_remainder(weights, total: int) -> np.ndarray:
     total = int(total)
     if total == 0:
         return np.zeros(w.shape, dtype=int)
-    s = w.sum(axis=-1, keepdims=True)
-    if np.any(s == 0.0):
+    counts = _apportion(np.atleast_2d(w), total, Workspace())
+    return counts.T.astype(int, order="C").reshape(w.shape)
+
+
+def _apportion(w: np.ndarray, total: int, space: Workspace) -> np.ndarray:
+    """Largest-remainder counts of every row of the (n, d) stack ``w``, as
+    a parameter-major (d, n) float array of whole numbers taken from
+    ``space``.
+
+    ``w`` is only read: its transpose is copied into the workspace first.
+    Row sums fold the d columns below eight of them; from eight on they
+    come from ``np.sum`` over ``w``'s rows, whose interleaved partial sums
+    a fold would not reproduce. An entry's place in a stable sort of its
+    row's remainders is the number of entries ranked ahead of it: those
+    with a larger remainder, and those with an equal one at a lower index.
+    Comparing the remainder block with itself shifted by 1 .. d - 1 rows
+    visits every pair once.
+    """
+    n, d = w.shape
+    quota = space.take("quota", (d, n))
+    np.copyto(quota, w.T)
+    sums = space.take("sums", (n,))
+    if d < 8:
+        np.copyto(sums, quota[0])
+        for k in range(1, d):
+            np.add(sums, quota[k], out=sums)
+    else:
+        np.sum(w, axis=-1, out=sums)
+    if np.any(sums == 0.0):
         raise ValueError("cannot apportion positive total to zero weights")
-    quota = w / s * total
-    counts = np.floor(quota).astype(int)
-    leftover = total - counts.sum(axis=-1, keepdims=True)
-    # rank of each remainder in a stable descending sort: ties keep index
-    # order, and the ``leftover`` best-ranked entries get one unit each
-    order = np.argsort(counts - quota, axis=-1, kind="stable")
-    rank = np.argsort(order, axis=-1)
-    return counts + (rank < leftover)
+    np.divide(quota, sums, out=quota)
+    np.multiply(quota, total, out=quota)
+    counts = np.floor(quota, out=space.take("counts", (d, n)))
+    # floor - quota, so that larger remainders sort first
+    rem = np.subtract(counts, quota, out=quota)
+    # units left per row; whole numbers, so exact in any summation order
+    leftover = np.subtract(total, np.sum(counts, axis=0, out=sums), out=sums)
+    # entry k starts ahead of every later entry and loses those that beat
+    # it; a later entry j gains each earlier k with rem_k <= rem_j
+    rank = space.take("rank", (d, n))
+    np.copyto(rank, np.arange(d - 1, -1, -1)[:, None])
+    ahead = space.take("ahead", (d, n), bool)
+    for shift in range(1, d):
+        le = np.less_equal(rem[:-shift], rem[shift:], out=ahead[shift:])
+        np.add(rank[shift:], le, out=rank[shift:])
+        np.subtract(rank[:-shift], le, out=rank[:-shift])
+    return np.add(counts, np.less(rank, leftover, out=ahead), out=counts)
 
 
 def photon_mode_counts(weights, photons: int) -> np.ndarray:
@@ -264,5 +306,16 @@ def count_variances(counts) -> np.ndarray:
     """Estimate variances 1/n_i^2 for modes given n_i photons; a mode given
     none has variance 0, i.e. its parameter stays at the prior."""
     counts = np.asarray(counts)
-    return np.where(counts > 0, 1.0 / np.maximum(counts, 1) ** 2, 0.0)
+    return _inverse_squares(counts, np.empty(counts.shape))
 
+
+def _inverse_squares(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``count_variances(counts)`` written into the float array ``out``.
+
+    n^2 is squared in floats rather than integers: both round the exact
+    square once, so the bits agree."""
+    np.maximum(counts, 1, out=out)
+    np.square(out, out=out)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, 0.0, where=~(counts > 0))
+    return out

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocation, bounds
-from .functions import (AnalyticFunction, EvaluationError, as_params,
-                        fold_columns, rowwise)
-from .measurement import (_generator, count_variances, largest_remainder,
+from .functions import (AnalyticFunction, EvaluationError, Workspace,
+                        as_params, fold_columns, rowwise)
+from .measurement import (_apportion, _generator, _inverse_squares,
+                          count_variances, largest_remainder,
                           sample_param_estimates)
 
 # Step-2 weights below this size (relative to the function scale) are treated
@@ -179,7 +180,7 @@ def _pilot_stage(dim: int, n_total: int,
     if n_pilot >= n_total:
         raise ValueError("pilot stage consumes the whole budget")
     counts = largest_remainder(np.ones(dim), n_pilot)
-    return 1.0 / counts.astype(float) ** 2, n_total - n_pilot
+    return count_variances(counts), n_total - n_pilot
 
 
 _ZERO_GRADIENT = ("zero gradient: the separable baseline has no allocation "
@@ -187,10 +188,10 @@ _ZERO_GRADIENT = ("zero gradient: the separable baseline has no allocation "
 
 
 def _photon_variances(g: np.ndarray, photons: int) -> np.ndarray:
-    """Variances 1/n_i^2 of the separable split n_i ~ |g_i|^{2/3}, for one
-    gradient (d,) or one per trial (n, d). Parameters a gradient ignores get
-    no photons and stay at the prior."""
-    if np.any(np.all(g == 0.0, axis=-1)):
+    """Variances 1/n_i^2 of the separable split n_i ~ |g_i|^{2/3} for the
+    gradient g. Parameters it ignores get no photons and stay at the
+    prior."""
+    if np.all(g == 0.0):
         raise ValueError(_ZERO_GRADIENT)
     counts = largest_remainder(np.abs(g) ** (2.0 / 3.0), photons)
     return count_variances(counts)
@@ -232,6 +233,55 @@ def separable_split(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
                                         pilot_fraction))
 
 
+# The pilot stage's per-thread buffers: its chunks reuse their memory
+# instead of page-faulting fresh temporaries in on every call.
+_PILOT_SPACE = Workspace()
+
+
+def _pilot_estimates(fn: AnalyticFunction, theta_true: np.ndarray,
+                     split: SeparableSplit, gen: np.random.Generator,
+                     trials: int) -> np.ndarray:
+    """The final estimates of ``trials`` pilot-stage runs, a (trials, d)
+    block in this thread's pilot workspace.
+
+    The normals' slots are strided columns of the draw block, so each
+    parameter is scaled in one call, and theta is added by ``rowwise``. The
+    split from the pilot gradients, n_i ~ |g_i|^{2/3} per trial, is
+    apportioned parameter-major and gives each parameter its final
+    standard deviations in one row of a (d, trials) block. The bits are
+    those of ``_photon_variances`` applied row by row.
+    """
+    d, space = fn.dim, _PILOT_SPACE
+    normals = gen.standard_normal(out=space.take("normals", (trials, 2, d)))
+    points = space.take("points", (trials, d))
+    sd = np.sqrt(split.variances)
+    for i in range(d):
+        np.multiply(sd[i], normals[:, 0, i], out=points[:, i])
+    rowwise(np.add, theta_true, points, out=points)
+    g = fn.gradients(points)
+    weights = np.abs(g, out=space.take("weights", (trials, d)))
+    np.power(weights, 2.0 / 3.0, out=weights)
+    # |g|^{2/3} is non-finite exactly where g is, and zero where g is
+    peak = fold_columns(np.maximum, weights)
+    if not np.all(np.isfinite(peak)):
+        raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
+    if np.any(peak == 0.0):
+        raise ValueError(_ZERO_GRADIENT)
+    counts = _apportion(weights, split.final_photons, space)
+    sd_final = _inverse_squares(counts, space.take("sd", (d, trials)))
+    np.sqrt(sd_final, out=sd_final)
+    sampled = space.take("sampled", (trials, d))
+    for i in range(d):
+        np.multiply(sd_final[i], normals[:, 1, i], out=sampled[:, i])
+    rowwise(np.add, theta_true, sampled, out=sampled)
+    # a parameter given no final photons stays at the prior
+    unmeasured = np.equal(counts, 0, out=space.take("unmeasured", (d, trials),
+                                                    bool))
+    if np.any(unmeasured):
+        np.copyto(sampled.T, prior_point(d)[:, None], where=unmeasured)
+    return sampled
+
+
 def run_unentangled_batch(fn: AnalyticFunction, theta_true,
                           split: SeparableSplit, rng, trials: int) -> np.ndarray:
     """Estimates from ``trials`` independent runs of the separable baseline
@@ -245,6 +295,12 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
     trials draws exactly what n single-trial calls draw from the same
     generator. Both draw orders are part of the reproducibility contract.
     A non-finite pilot gradient or estimate raises ``EvaluationError``.
+
+    The pilot stage computes in a per-thread workspace: each thread reuses
+    one set of buffers from call to call instead of page-faulting fresh
+    chunk-sized temporaries in. The returned estimates belong to the
+    caller: they never share memory with the workspace, even when the value
+    rule hands back (a view of) its input, so later calls leave them be.
     """
     theta_true = as_params(theta_true, fn.dim)
     if trials < 1:
@@ -253,19 +309,18 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
     if split.final_photons is None:
         var = split.variances
         sampled = sample_param_estimates(theta_true, var, gen, size=trials)
+        # a zero variance pins its parameter to the prior; sampled is this
+        # call's own buffer, so the pin goes in place, and only when needed
+        unmeasured = var == 0
+        if np.any(unmeasured):
+            np.copyto(sampled, prior_point(fn.dim), where=unmeasured)
     else:
-        normals = gen.standard_normal((trials, 2, fn.dim))
-        g = fn.gradients(theta_true + np.sqrt(split.variances) * normals[:, 0])
-        if not np.all(np.isfinite(g)):
-            raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
-        var = _photon_variances(g, split.final_photons)
-        sampled = theta_true + np.sqrt(var) * normals[:, 1]
-    # a zero variance pins its parameter to the prior; sampled is this
-    # call's own buffer, so the pin goes in place, and only when needed
-    unmeasured = var == 0
-    if np.any(unmeasured):
-        np.copyto(sampled, prior_point(fn.dim), where=unmeasured)
+        sampled = _pilot_estimates(fn, theta_true, split, gen, trials)
     out = fn.values(sampled)
+    if np.may_share_memory(out, sampled):
+        # a rule that hands back (a view of) its input: the caller gets a
+        # copy, never the workspace
+        out = out.copy()
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"non-finite value of {fn.label}")
     return out

@@ -215,6 +215,24 @@ def test_largest_remainder_battery():
         np.testing.assert_array_equal(counts, ms.largest_remainder(w * 7.5, total))
 
 
+def test_largest_remainder_never_writes_into_its_weights():
+    # a transposed (d, 1) or (1, n) view is contiguous both ways, so a
+    # "contiguous copy" of it can be the caller's memory
+    rng = np.random.default_rng(67)
+    stack = rng.uniform(0.0, 3.0, (6, 9))
+    frozen = stack.copy()
+    frozen.flags.writeable = False
+    cases = [stack[0].copy(), stack[:1].copy(), stack[:, :1].copy(),
+             np.asfortranarray(stack), stack[:, :5].copy(), frozen,
+             frozen[2], np.ones(3)]
+    for w in cases:
+        before = w.copy(order="K")
+        counts = ms.largest_remainder(w, 101)
+        assert w.tobytes() == before.tobytes()
+        assert counts.shape == w.shape and not np.may_share_memory(counts, w)
+        np.testing.assert_array_equal(counts, ms.largest_remainder(before, 101))
+
+
 def test_largest_remainder_rows_match_vector_calls():
     rng = np.random.default_rng(61)
     for d in range(1, 33):

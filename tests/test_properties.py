@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import warnings
 
 import numpy as np
@@ -257,6 +258,65 @@ def test_largest_remainder_rows_sum_to_their_total(seed, rows, d, total):
     assert counts.shape == (rows, d) and counts.min() >= 0
     assert np.all(counts.sum(axis=1) == total)
     assert np.all(counts[w == 0.0] == 0)
+
+
+
+def stable_sort_apportion(row, total: int, s: float | None = None) -> list:
+    """Largest remainder for one row by Python's stable sort: floor the
+    quotas row / s * total, then give the leftover units to the most
+    negative floor - quota, equal ones in index order. The row sum s is
+    numpy's by default, whose bits the stack path must reproduce on both
+    sides of its eight-column switch."""
+    s = float(np.sum(row)) if s is None else s
+    quota = [float(x) / s * total for x in row]
+    counts = [math.floor(q) for q in quota]
+    order = sorted(range(len(row)), key=lambda k: counts[k] - quota[k])
+    for k in order[:total - sum(counts)]:
+        counts[k] += 1
+    return counts
+
+
+# weights drawn from a small pool tie exactly; a zero weight and an entry
+# with a whole quota tie at remainder 0
+POOL = (0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 7.0, 0.1, 0.3, 1.0 / 3.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+       d=st.integers(1, 40),
+       total=st.one_of(st.sampled_from(["zero", "one", "d"]),
+                       st.integers(0, 10**6)))
+def test_largest_remainder_stack_matches_a_stable_sort(seed, rows, d, total):
+    rng = np.random.default_rng(seed)
+    w = np.where(rng.random((rows, d)) < 0.6, rng.choice(POOL, (rows, d)),
+                 rng.uniform(0.0, 1e3, (rows, d)))
+    # every stack also holds equal weights, and zeros beside whole quotas
+    mixed = np.resize([0.0, 2.0, 0.0, 2.0, 1.0, 0.0, 3.0, 1.0], d)
+    w = np.vstack([w, np.ones(d), mixed])
+    w[w.sum(axis=1) == 0.0, -1] = 1.0  # every row keeps a positive weight
+    total = {"zero": 0, "one": 1, "d": d}.get(total, total)
+    counts = largest_remainder(w, total)
+    assert counts.dtype == np.dtype(int) and counts.flags.c_contiguous
+    assert counts.shape == w.shape
+    want = [stable_sort_apportion(row, total) for row in w]
+    np.testing.assert_array_equal(counts, want)
+    for row, counts_row in zip(w, want):  # a vector is a stack of one
+        np.testing.assert_array_equal(largest_remainder(row, total), counts_row)
+
+
+def test_largest_remainder_keeps_numpys_row_sums_from_eight_terms():
+    # rows whose left-to-right sum differs from np.sum's pairwise one in the
+    # last bit, by enough to move a unit: the stack path must add as np.sum
+    third, tenth = 1.0 / 3.0, 0.1
+    cases = (([0.5, 0.3, 3.0, 1.0, 1.1, 0.7, 3.0, 0.7, third, 0.7, 0.5, 1.1,
+               0.5, third, 1.1, third], 1000),
+             ([0.7, 2 * third, 1.0, third, third, 0.7, 2 * third, 1.1, 1.1,
+               0.2, tenth, 0.7, third, tenth, 1.1, 0.2, 3.0, 0.5, 0.5], 100))
+    for row, total in cases:
+        want = stable_sort_apportion(row, total)
+        assert stable_sort_apportion(row, total, sum(row)) != want
+        np.testing.assert_array_equal(
+            largest_remainder(np.array([row] * 3), total), [want] * 3)
 
 
 SPLITS = (lambda m: al.optimal_time_split(m, 1e4),

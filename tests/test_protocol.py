@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,62 @@ def test_pilot_estimate_mse_thread_invariant_and_pinned():
     assert (one.mse, one.se, one.bias) == (
         1.7703669112845615e-08, 2.8054022113395563e-10, -5.063638821779117e-07)
 
+
+def test_pilot_results_never_alias_the_workspace():
+    budget = pr.ResourceBudget("photon-number", 5000)
+    theta = (0.8, 1.3)
+    first = baseline(fns.product(2), theta, budget, RngStream(3), 500, 0.1)
+    kept = first.copy()
+    baseline(fns.product(2), theta, budget, RngStream(4), 700, 0.1)
+    assert first.tobytes() == kept.tobytes()
+    # rules handing back views of their input read the workspace itself;
+    # f = theta_0 with the gradient theta starves neither pilot row nor mode
+    views = fns.from_rules(2, "views", lambda p: p[:, 0], None, None,
+                           grad_batch_rule=lambda p: p)
+    copies = fns.from_rules(2, "copies", lambda p: p[:, 0].copy(), None, None,
+                            grad_batch_rule=lambda p: p.copy())
+    got = baseline(views, theta, budget, RngStream(5), 500, 0.1)
+    kept = got.copy()
+    baseline(views, theta, budget, RngStream(6), 500, 0.1)
+    assert got.tobytes() == kept.tobytes()
+    assert not any(np.may_share_memory(got, buf)
+                   for buf in pr._PILOT_SPACE.buffers.values())
+    want = baseline(copies, theta, budget, RngStream(5), 500, 0.1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pilot_estimate_mse_is_bit_equal_on_reused_and_fresh_buffers():
+    # three chunks; threads=2 runs them on fresh threads with fresh
+    # workspaces, threads=1 on this thread after calls at other shapes
+    cfg = ex.ExperimentConfig(fns.product(3), (0.8, 1.1, 1.4),
+                              pr.ResourceBudget("photon-number", 20000),
+                              protocol="unentangled", pilot_fraction=0.1)
+    trials = 2 * ex.CHUNK + 5
+    fresh = ex.estimate_mse(cfg, trials, 71, threads=2)
+    for d, n in ((5, ex.CHUNK), (2, 150)):
+        other = ex.ExperimentConfig(fns.product(d), (0.9,) * d,
+                                    pr.ResourceBudget("photon-number", 20000),
+                                    protocol="unentangled", pilot_fraction=0.1)
+        ex.estimate_mse(other, n, 72, threads=1)
+        assert repr(ex.estimate_mse(cfg, trials, 71, threads=1)) == repr(fresh)
+
+
+
+def test_pilot_workspace_is_per_thread_under_contention():
+    # more workers than cores and a short switch interval: chunks sharing
+    # one set of buffers would overwrite each other's draws and counts
+    cfg = ex.ExperimentConfig(fns.product(3), (0.8, 1.1, 1.4),
+                              pr.ResourceBudget("photon-number", 20000),
+                              protocol="unentangled", pilot_fraction=0.1)
+    trials = 5 * ex.CHUNK + 3
+    want = ex.estimate_mse(cfg, trials, 73, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = ex.estimate_mse(cfg, trials, 73, threads=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert repr(got) == repr(want)
 
 def test_label_permutation_invariance():
     a = np.array([[1.0, 0.2], [0.2, 2.0]])
