@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Workspace, as_params, rowwise
+from .functions import Workspace, as_params, fold_columns, rowwise
 
 # Modeling assumptions behind the distribution-level samplers; exported into
 # result metadata so downstream records are self-describing.
@@ -221,6 +221,19 @@ def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float
 # -- integer apportionment -----------------------------------------------------
 
 
+# Units are counted in floats, exactly while every count and every partial
+# sum of them is a whole number below 2**53. Rounded quotas may floor to a
+# few units more than the total, so totals stop a factor two short of it.
+_MAX_TOTAL = 2**52
+
+# The pairwise rank makes d - 1 passes over the whole block; two per-row
+# argsorts pay a loop call per row instead. The passes win on many short
+# rows, about 8x at 4,096 rows of 4; the argsorts win on a few rows, and
+# from about 32 columns on (rank timings in BENCH_apportion.json).
+_PAIRWISE_MAX_COLUMNS = 24
+_PAIRWISE_MIN_ROWS = 1024
+
+
 def largest_remainder(weights, total: int) -> np.ndarray:
     """Apportion ``total`` integer units proportionally to nonnegative weights.
 
@@ -229,10 +242,11 @@ def largest_remainder(weights, total: int) -> np.ndarray:
     vector is a stack of one. Floors the exact quotas, then hands leftover
     units to the largest fractional remainders, ties to the lowest index.
     Zero weights get zero. Deterministic, and the counts of every row sum to
-    ``total``. The result is a fresh C-ordered int array of the weights'
-    shape; the weights are only read, never written.
+    ``total``, which may be at most 2**52. The result is a fresh C-ordered
+    int array of the weights' shape; the weights are only read, never
+    written.
 
-    The work runs on a parameter-major (d, n) copy (see ``_apportion``), so
+    Many short rows are worked on parameter-major (see ``_apportion``), so
     each step is one elementwise call per parameter instead of one loop
     call per row.
     """
@@ -244,55 +258,69 @@ def largest_remainder(weights, total: int) -> np.ndarray:
     if total < 0 or int(total) != total:
         raise ValueError("total must be a nonnegative integer")
     total = int(total)
+    if total > _MAX_TOTAL:
+        raise ValueError(f"total must be at most 2**52, got {total}")
     if total == 0:
         return np.zeros(w.shape, dtype=int)
     counts = _apportion(np.atleast_2d(w), total, Workspace())
-    return counts.T.astype(int, order="C").reshape(w.shape)
+    return counts.astype(int, order="C").reshape(w.shape)
 
 
 def _apportion(w: np.ndarray, total: int, space: Workspace) -> np.ndarray:
-    """Largest-remainder counts of every row of the (n, d) stack ``w``, as
-    a parameter-major (d, n) float array of whole numbers taken from
-    ``space``.
+    """Largest-remainder counts of every row of the (n, d) stack ``w``, as an
+    (n, d) float array of whole numbers in ``space``; ``total`` is at most
+    ``_MAX_TOTAL``.
 
-    ``w`` is only read: its transpose is copied into the workspace first.
-    Row sums fold the d columns below eight of them; from eight on they
-    come from ``np.sum`` over ``w``'s rows, whose interleaved partial sums
-    a fold would not reproduce. An entry's place in a stable sort of its
-    row's remainders is the number of entries ranked ahead of it: those
-    with a larger remainder, and those with an equal one at a lower index.
-    Comparing the remainder block with itself shifted by 1 .. d - 1 rows
-    visits every pair once.
+    ``w`` is only read: it is copied into the workspace first. Many short
+    rows are copied parameter-major, into the transpose of a C-ordered
+    (d, n) buffer, so each elementwise step below runs as one call per
+    parameter instead of one per row; other stacks stay row-major. Row sums
+    fold the d columns below eight of them; from eight on they come from
+    ``np.sum`` over ``w``'s rows, whose interleaved partial sums a fold
+    would not reproduce. The leftover units of a row go to the entries
+    whose place in a stable sort of its remainders, largest first, comes
+    before the leftover count. Parameter-major, that place is the number of
+    entries ranked ahead of an entry: those with a larger remainder, and
+    those with an equal one at a lower index; comparing the remainder block
+    with itself shifted by 1 .. d - 1 parameters visits every pair once.
+    Row-major, two stable argsorts along each row give it.
     """
     n, d = w.shape
-    quota = space.take("quota", (d, n))
-    np.copyto(quota, w.T)
-    sums = space.take("sums", (n,))
-    if d < 8:
-        np.copyto(sums, quota[0])
-        for k in range(1, d):
-            np.add(sums, quota[k], out=sums)
-    else:
-        np.sum(w, axis=-1, out=sums)
+    pairwise = d <= _PAIRWISE_MAX_COLUMNS and n >= _PAIRWISE_MIN_ROWS
+
+    def take(name, dtype=float):
+        if pairwise:
+            return space.take(name, (d, n), dtype).T
+        return space.take(name, (n, d), dtype)
+
+    quota = take("quota")
+    np.copyto(quota, w)
+    sums = fold_columns(np.add, quota) if d < 8 else np.sum(w, axis=-1)
     if np.any(sums == 0.0):
         raise ValueError("cannot apportion positive total to zero weights")
-    np.divide(quota, sums, out=quota)
+    np.divide(quota, sums[:, None], out=quota)
     np.multiply(quota, total, out=quota)
-    counts = np.floor(quota, out=space.take("counts", (d, n)))
+    counts = np.floor(quota, out=take("counts"))
     # floor - quota, so that larger remainders sort first
     rem = np.subtract(counts, quota, out=quota)
-    # units left per row; whole numbers, so exact in any summation order
-    leftover = np.subtract(total, np.sum(counts, axis=0, out=sums), out=sums)
-    # entry k starts ahead of every later entry and loses those that beat
-    # it; a later entry j gains each earlier k with rem_k <= rem_j
-    rank = space.take("rank", (d, n))
-    np.copyto(rank, np.arange(d - 1, -1, -1)[:, None])
-    ahead = space.take("ahead", (d, n), bool)
-    for shift in range(1, d):
-        le = np.less_equal(rem[:-shift], rem[shift:], out=ahead[shift:])
-        np.add(rank[shift:], le, out=rank[shift:])
-        np.subtract(rank[:-shift], le, out=rank[:-shift])
-    return np.add(counts, np.less(rank, leftover, out=ahead), out=counts)
+    # units left per row; whole numbers below 2**53, so exact in any order
+    leftover = np.subtract(total, np.sum(counts, axis=-1, out=sums), out=sums)
+    ahead = take("ahead", bool)
+    if pairwise:
+        # entry k starts ahead of every later entry and loses those that
+        # beat it; a later entry j gains each earlier k with rem_k <= rem_j
+        rem, le = rem.T, ahead.T
+        rank = space.take("rank", (d, n))
+        np.copyto(rank, np.arange(d - 1, -1, -1)[:, None])
+        for shift in range(1, d):
+            np.less_equal(rem[:-shift], rem[shift:], out=le[shift:])
+            np.add(rank[shift:], le[shift:], out=rank[shift:])
+            np.subtract(rank[:-shift], le[shift:], out=rank[:-shift])
+        rank = rank.T
+    else:
+        rank = np.argsort(np.argsort(rem, axis=-1, kind="stable"), axis=-1)
+    return np.add(counts, np.less(rank, leftover[:, None], out=ahead),
+                  out=counts)
 
 
 def photon_mode_counts(weights, photons: int) -> np.ndarray:
@@ -310,12 +338,14 @@ def count_variances(counts) -> np.ndarray:
 
 
 def _inverse_squares(counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``count_variances(counts)`` written into the float array ``out``.
+    """``count_variances(counts)`` written into the float array ``out``,
+    which may be ``counts`` itself.
 
     n^2 is squared in floats rather than integers: both round the exact
     square once, so the bits agree."""
+    unmeasured = np.less_equal(counts, 0)
     np.maximum(counts, 1, out=out)
     np.square(out, out=out)
     np.divide(1.0, out, out=out)
-    np.copyto(out, 0.0, where=~(counts > 0))
+    np.copyto(out, 0.0, where=unmeasured)
     return out

@@ -187,14 +187,18 @@ _ZERO_GRADIENT = ("zero gradient: the separable baseline has no allocation "
                   "target here")
 
 
-def _photon_variances(g: np.ndarray, photons: int) -> np.ndarray:
-    """Variances 1/n_i^2 of the separable split n_i ~ |g_i|^{2/3} for the
-    gradient g. Parameters it ignores get no photons and stay at the
-    prior."""
-    if np.all(g == 0.0):
+def _photon_variances(g: np.ndarray, photons: int,
+                      space: Workspace) -> np.ndarray:
+    """Variances 1/n_i^2 of the separable split n_i ~ |g_i|^{2/3}, one row
+    per row of the (n, d) gradient stack ``g``, in ``space`` (laid out as
+    ``measurement._apportion`` lays out its counts). Parameters a gradient
+    ignores get no photons and stay at the prior."""
+    weights = np.abs(g, out=space.take("weights", g.shape))
+    np.power(weights, 2.0 / 3.0, out=weights)
+    if np.any(fold_columns(np.maximum, weights) == 0.0):
         raise ValueError(_ZERO_GRADIENT)
-    counts = largest_remainder(np.abs(g) ** (2.0 / 3.0), photons)
-    return count_variances(counts)
+    counts = _apportion(weights, photons, space)
+    return _inverse_squares(counts, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +228,9 @@ def separable_split(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
     if pilot_fraction is None:
         if budget.kind == "qubit-time":
             return SeparableSplit(np.full(fn.dim, 1.0 / budget.amount**2))
-        return SeparableSplit(_photon_variances(fn.gradient(theta_true),
-                                                int(budget.amount)))
+        g = fn.gradient(theta_true)[None]
+        return SeparableSplit(_photon_variances(g, int(budget.amount),
+                                                Workspace())[0])
     if budget.kind == "qubit-time":
         raise ValueError("pilot stages only apply to photon budgets: "
                          "with time budgets every sensor runs the full span")
@@ -240,16 +245,17 @@ _PILOT_SPACE = Workspace()
 
 def _pilot_estimates(fn: AnalyticFunction, theta_true: np.ndarray,
                      split: SeparableSplit, gen: np.random.Generator,
-                     trials: int) -> np.ndarray:
-    """The final estimates of ``trials`` pilot-stage runs, a (trials, d)
-    block in this thread's pilot workspace.
+                     trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The final variances and estimates of ``trials`` pilot-stage runs,
+    two (trials, d) blocks in this thread's pilot workspace.
 
-    The normals' slots are strided columns of the draw block, so each
-    parameter is scaled in one call, and theta is added by ``rowwise``. The
-    split from the pilot gradients, n_i ~ |g_i|^{2/3} per trial, is
-    apportioned parameter-major and gives each parameter its final
-    standard deviations in one row of a (d, trials) block. The bits are
-    those of ``_photon_variances`` applied row by row.
+    Each trial splits the final photons from its own pilot gradient. The
+    normals' slots are strided columns of the draw block, and on many
+    trials of a few parameters the variances are parameter-major, so each
+    parameter is scaled in one call per stage; theta is added by
+    ``rowwise``. That layout pays up to about 32 parameters; from 64 to 200
+    the strided loops run about as fast as a whole-block broadcast
+    (``BENCH_apportion.json``).
     """
     d, space = fn.dim, _PILOT_SPACE
     normals = gen.standard_normal(out=space.take("normals", (trials, 2, d)))
@@ -259,27 +265,16 @@ def _pilot_estimates(fn: AnalyticFunction, theta_true: np.ndarray,
         np.multiply(sd[i], normals[:, 0, i], out=points[:, i])
     rowwise(np.add, theta_true, points, out=points)
     g = fn.gradients(points)
-    weights = np.abs(g, out=space.take("weights", (trials, d)))
-    np.power(weights, 2.0 / 3.0, out=weights)
-    # |g|^{2/3} is non-finite exactly where g is, and zero where g is
-    peak = fold_columns(np.maximum, weights)
-    if not np.all(np.isfinite(peak)):
+    if not np.all(np.isfinite(g)):
         raise EvaluationError(f"non-finite pilot gradient of {fn.label}")
-    if np.any(peak == 0.0):
-        raise ValueError(_ZERO_GRADIENT)
-    counts = _apportion(weights, split.final_photons, space)
-    sd_final = _inverse_squares(counts, space.take("sd", (d, trials)))
-    np.sqrt(sd_final, out=sd_final)
+    var = _photon_variances(g, split.final_photons, space)
+    sd = space.take("sd", (trials,))
     sampled = space.take("sampled", (trials, d))
     for i in range(d):
-        np.multiply(sd_final[i], normals[:, 1, i], out=sampled[:, i])
+        np.multiply(np.sqrt(var[:, i], out=sd), normals[:, 1, i],
+                    out=sampled[:, i])
     rowwise(np.add, theta_true, sampled, out=sampled)
-    # a parameter given no final photons stays at the prior
-    unmeasured = np.equal(counts, 0, out=space.take("unmeasured", (d, trials),
-                                                    bool))
-    if np.any(unmeasured):
-        np.copyto(sampled.T, prior_point(d)[:, None], where=unmeasured)
-    return sampled
+    return var, sampled
 
 
 def run_unentangled_batch(fn: AnalyticFunction, theta_true,
@@ -309,13 +304,13 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
     if split.final_photons is None:
         var = split.variances
         sampled = sample_param_estimates(theta_true, var, gen, size=trials)
-        # a zero variance pins its parameter to the prior; sampled is this
-        # call's own buffer, so the pin goes in place, and only when needed
-        unmeasured = var == 0
-        if np.any(unmeasured):
-            np.copyto(sampled, prior_point(fn.dim), where=unmeasured)
     else:
-        sampled = _pilot_estimates(fn, theta_true, split, gen, trials)
+        var, sampled = _pilot_estimates(fn, theta_true, split, gen, trials)
+    # a zero variance pins its parameter to the prior; sampled is this
+    # call's own buffer, so the pin goes in place, and only when needed
+    unmeasured = var == 0
+    if np.any(unmeasured):
+        np.copyto(sampled, prior_point(fn.dim), where=unmeasured)
     out = fn.values(sampled)
     if np.may_share_memory(out, sampled):
         # a rule that hands back (a view of) its input: the caller gets a

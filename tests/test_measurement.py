@@ -215,6 +215,22 @@ def test_largest_remainder_battery():
         np.testing.assert_array_equal(counts, ms.largest_remainder(w * 7.5, total))
 
 
+def test_largest_remainder_counts_exactly_up_to_two_to_the_52():
+    # floats count whole units exactly below 2**53; above the limit a
+    # float leftover could drop units, so such totals are refused
+    rng = np.random.default_rng(71)
+    w = rng.uniform(0.0, 1.0, (2000, 5))
+    w[:, 1] = w[:, 0]  # equal remainders
+    for total in (2**52, 2**52 - 1, 3**32):
+        counts = ms.largest_remainder(w, total)
+        assert all(int(row.sum()) == total for row in counts)
+    np.testing.assert_array_equal(ms.largest_remainder([1.0, 1.0], 2**52),
+                                  [2**51, 2**51])
+    for total in (2**52 + 1, 2**53 + 1):
+        with pytest.raises(ValueError, match="at most 2"):
+            ms.largest_remainder([1.0, 1.0], total)
+
+
 def test_largest_remainder_never_writes_into_its_weights():
     # a transposed (d, 1) or (1, n) view is contiguous both ways, so a
     # "contiguous copy" of it can be the caller's memory
@@ -246,6 +262,10 @@ def test_largest_remainder_rows_match_vector_calls():
             assert np.all(rows.sum(axis=1) == total)
             for wi, ci in zip(w, rows):
                 np.testing.assert_array_equal(ci, ms.largest_remainder(wi, total))
+            # 1,040 rows: pairwise ranking up to 24 columns
+            np.testing.assert_array_equal(
+                ms.largest_remainder(np.tile(w, (26, 1)), total),
+                np.tile(rows, (26, 1)))
     np.testing.assert_array_equal(ms.largest_remainder(np.zeros((3, 2)), 0),
                                   np.zeros((3, 2)))
     # many exact ties: leftover units go to the largest remainders, equal

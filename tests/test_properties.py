@@ -302,6 +302,12 @@ def test_largest_remainder_stack_matches_a_stable_sort(seed, rows, d, total):
     np.testing.assert_array_equal(counts, want)
     for row, counts_row in zip(w, want):  # a vector is a stack of one
         np.testing.assert_array_equal(largest_remainder(row, total), counts_row)
+    # a stack of many rows ranks remainders by pairwise passes up to 24
+    # columns, and by argsorts from 25 on, as a few rows always are
+    reps = -(-1024 // len(w))
+    np.testing.assert_array_equal(largest_remainder(np.tile(w, (reps, 1)),
+                                                    total),
+                                  np.tile(want, (reps, 1)))
 
 
 def test_largest_remainder_keeps_numpys_row_sums_from_eight_terms():

@@ -400,7 +400,6 @@ def test_pilot_estimate_mse_is_bit_equal_on_reused_and_fresh_buffers():
         assert repr(ex.estimate_mse(cfg, trials, 71, threads=1)) == repr(fresh)
 
 
-
 def test_pilot_workspace_is_per_thread_under_contention():
     # more workers than cores and a short switch interval: chunks sharing
     # one set of buffers would overwrite each other's draws and counts
@@ -416,6 +415,7 @@ def test_pilot_workspace_is_per_thread_under_contention():
     finally:
         sys.setswitchinterval(interval)
     assert repr(got) == repr(want)
+
 
 def test_label_permutation_invariance():
     a = np.array([[1.0, 0.2], [0.2, 2.0]])
