@@ -28,8 +28,9 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__, allocation, bounds, functions
-from .experiment import (ExperimentConfig, base_metadata, check_grid,
-                         fom_battery, sweep_resource, verify_general_fom)
+from .experiment import (MIN_TRIALS, ExperimentConfig, base_metadata,
+                         check_grid, fom_battery, sweep_resource,
+                         verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
 from .measurement import RngStream
 from .protocol import ResourceBudget, build_plan, parse_policy
@@ -63,6 +64,14 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if n < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
+    return n
+
+
+def trial_count(text: str) -> int:
+    n = positive_int(text)
+    if n < MIN_TRIALS:
+        raise argparse.ArgumentTypeError(f"expected at least {MIN_TRIALS} "
+                                         "trials")
     return n
 
 
@@ -384,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="two-step")
     p.add_argument("--alloc", default="optimal",
                    help="optimal | numeric | power:c,p | fixed:x")
-    p.add_argument("--trials", type=positive_int, default=200000)
+    p.add_argument("--trials", type=trial_count, default=200000)
     p.add_argument("--no-timestamp", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("two-step", "unentangled"),
                    default="two-step")
     p.add_argument("--alloc", default="optimal")
-    p.add_argument("--trials", type=positive_int, default=200000)
+    p.add_argument("--trials", type=trial_count, default=200000)
     p.add_argument("--no-timestamp", action="store_true")
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_sweep)
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit to run the built-in battery")
     p.add_argument("--theta", type=float_list, default=None)
     p.add_argument("--sigma", type=float_list, required=True)
-    p.add_argument("--trials", type=positive_int, default=1000000)
+    p.add_argument("--trials", type=trial_count, default=1000000)
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_verify_fom)
 
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="true (amplitude, center, waist)")
     p.add_argument("--sensors", type=float_list, required=True)
     p.add_argument("--target", type=finite_float, required=True)
-    p.add_argument("--trials", type=positive_int, default=100000)
+    p.add_argument("--trials", type=trial_count, default=100000)
     _add_common(p)
     p.set_defaults(handler=_cmd_interpolate)
 

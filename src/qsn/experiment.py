@@ -5,7 +5,9 @@ Reproducibility contract. A run is identified by (config, master_seed).
 Trials are evaluated in fixed-size chunks, each on its own index-derived
 random stream, and chunk partial sums are reduced with compensated
 summation in chunk order. The result is bit-identical however many threads
-execute the chunks.
+execute the chunks. Threaded chunks run on worker threads that persist per
+calling thread (see ``collect_error_moments``), so per-thread buffers
+outlive a call; what they hold never reaches a result.
 
 MSE uncertainty comes from the sample variance of the squared errors (the
 delta method). Squared errors are heavy-tailed, so gates downstream use 3-4
@@ -17,8 +19,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +41,30 @@ from .protocol import (TINY_GRADIENT_RTOL, ResourceBudget, build_plan,
 CHUNK = 8192
 
 PROTOCOLS = ("two-step", "unentangled")
+
+# The fewest trials an MSE estimate runs; the CLI rejects fewer at parse time.
+MIN_TRIALS = 100
+
+# Each calling thread's chunk executors, by ``threads`` value. Per calling
+# thread, so that a draw that fans out again never waits on the pool that
+# runs it.
+_POOLS = threading.local()
+
+
+def _forget_pools() -> None:
+    # a forked child inherits the executors but none of their threads
+    global _POOLS
+    _POOLS = threading.local()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    pools = _POOLS.__dict__
+    if threads not in pools:
+        pools[threads] = ThreadPoolExecutor(max_workers=threads)
+    return pools[threads]
 
 
 @dataclass(frozen=True)
@@ -93,6 +121,15 @@ def collect_error_moments(draw, trials: int, stream: RngStream,
     ``draw(stream, n)`` returns n estimator errors. Chunk c runs on
     ``stream.substream(c)``; partials are fsum-reduced in chunk order, so the
     output is independent of thread count.
+
+    With ``threads > 1`` and more than one chunk, the chunks run on worker
+    threads kept per calling thread, one set per ``threads`` value: a call
+    runs on at most ``threads`` of them, later calls from the same thread
+    reuse them, and they end with that thread. A worker's per-thread
+    buffers (``functions.Workspace``) live as long as the worker. Concurrent
+    callers never share workers, and a draw that fans out again gets
+    workers of its own. A forked child starts with none. A call returns or
+    raises only after every chunk it started has stopped.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -109,8 +146,13 @@ def collect_error_moments(draw, trials: int, stream: RngStream,
         return float(err.sum()), float(e2.sum()), float((e2 * e2).sum())
 
     if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            parts = list(pool.map(one, range(len(starts))))
+        futures = [_pool(threads).submit(one, c) for c in range(len(starts))]
+        try:
+            parts = [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
     else:
         parts = [one(c) for c in range(len(starts))]
     s1 = math.fsum(p[0] for p in parts)
@@ -125,10 +167,13 @@ def estimate_mse(config: ExperimentConfig, trials: int, master_seed: int,
 
     ``stream_index`` separates the random streams of runs sharing a master
     seed (sweeps use the grid position); identical arguments give
-    bit-identical results at any thread count.
+    bit-identical results at any thread count. ``threads`` is the most
+    threads the call runs chunks on; they are worker threads that persist
+    per calling thread, with their buffers, between calls (see
+    ``collect_error_moments``).
     """
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS}")
     fn = config.function
     theta = as_params(config.theta, fn.dim)
     truth = fn.value(theta)
@@ -214,8 +259,8 @@ def verify_general_fom(fn: AnalyticFunction, theta, variances, trials: int,
     var = np.broadcast_to(np.asarray(variances, dtype=float), theta.shape).copy()
     if np.any(var <= 0) or not np.all(np.isfinite(var)):
         raise ValueError("variances must be positive and finite")
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS}")
     truth = fn.value(theta)
     sd = np.sqrt(var)
     hess = fn.hessian(theta)

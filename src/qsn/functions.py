@@ -300,9 +300,14 @@ class Workspace(threading.local):
     never shrunk, so equal-sized chunks on one thread reuse the same memory
     instead of allocating (and page-faulting) it afresh. Each thread that
     touches an instance gets its own buffers, so concurrent chunks stay off
-    each other's. ``memo`` is a slot the owner may use to keep one result
-    between calls. What a call takes from a workspace is overwritten by the
-    next call on that thread, so it must not be handed back to a caller.
+    each other's. Buffers live as long as their thread; the chunk workers
+    of ``experiment.collect_error_moments`` persist per calling thread, so
+    a worker's buffers carry over from one call to the next, and a forked
+    child starts afresh. ``memo`` is a slot the owner may use to keep one
+    result between calls. What a call takes from a workspace is overwritten
+    by the next call on that thread, so it must not be handed back to a
+    caller; and since no buffer's old contents are read, thread count
+    changes no bit.
     """
 
     def __init__(self):

@@ -352,7 +352,10 @@ def induced_function(ansatz: Ansatz, layout: SensorLayout,
     solves' work block and the memo. Freed chunk-sized temporaries
     go back to the system between chunks and are page-faulted in again on
     the next, so reusing buffers saves that time; keeping them per thread
-    keeps concurrent chunks off each other's buffers. Values, gradients and
+    keeps concurrent chunks off each other's buffers. Chunk workers persist
+    per calling thread (``experiment.collect_error_moments``), so a
+    worker's workspace and memo carry over from one ``estimate_mse`` call to
+    the next and live as long as the worker. Values, gradients and
     the memo's parameters are fresh arrays, never workspace, so no later
     call changes what an earlier one returned.
     """

@@ -239,7 +239,8 @@ def separable_split(fn: AnalyticFunction, theta_true, budget: ResourceBudget,
 
 
 # The pilot stage's per-thread buffers: its chunks reuse their memory
-# instead of page-faulting fresh temporaries in on every call.
+# instead of page-faulting fresh temporaries in on every call, on chunk
+# workers too, which persist between calls.
 _PILOT_SPACE = Workspace()
 
 
@@ -293,9 +294,11 @@ def run_unentangled_batch(fn: AnalyticFunction, theta_true,
 
     The pilot stage computes in a per-thread workspace: each thread reuses
     one set of buffers from call to call instead of page-faulting fresh
-    chunk-sized temporaries in. The returned estimates belong to the
-    caller: they never share memory with the workspace, even when the value
-    rule hands back (a view of) its input, so later calls leave them be.
+    chunk-sized temporaries in, and the chunk workers of ``estimate_mse``
+    persist between calls, so theirs do too. The returned estimates belong
+    to the caller: they never share memory with the workspace, even when the
+    value rule hands back (a view of) its input, so later calls leave them
+    be.
     """
     theta_true = as_params(theta_true, fn.dim)
     if trials < 1:

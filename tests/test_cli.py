@@ -233,6 +233,25 @@ def test_flag_parse_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_too_few_trials_is_a_usage_error(capsys):
+    # the floor estimate_mse and verify_general_fom enforce, checked when
+    # the flags are parsed
+    assert experiment.MIN_TRIALS == 100
+    product = ["--function", "product:d=2", "--theta", "1,1"]
+    for argv in (["simulate", *product, "--time", "1e3"],
+                 ["sweep", *product, "--times", "1e3,1e4"],
+                 ["verify-fom", *product, "--sigma", "0.05"],
+                 ["interpolate", "--params=1,0,1", "--sensors=-1,0.3,1.2",
+                  "--target", "0.1", "--time", "1e4"]):
+        argv = [*argv, "--threads", "1", "--seed", "3"]
+        with pytest.raises(SystemExit) as exc:
+            run_command([*argv, "--trials", "99"])
+        assert exc.value.code == 2
+        assert "at least 100 trials" in capsys.readouterr().err
+        assert run_command([*argv, "--trials", "100"]) == 0
+        assert capsys.readouterr().out
+
+
 def test_runtime_errors_exit_1(capsys):
     # flat target at the origin: no usable gradient for the optimal split
     code = run_command(

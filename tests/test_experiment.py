@@ -1,4 +1,11 @@
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +366,222 @@ def test_separable_split_is_taken_once_per_estimate(monkeypatch):
                                   protocol="unentangled", pilot_fraction=fraction)
         ex.estimate_mse(cfg, 2 * ex.CHUNK + 1, master_seed=3, threads=2)
     assert calls == {"grad": 1, "pilot": 1}
+
+
+# -- persistent chunk workers --------------------------------------------------
+
+
+def on_new_threads(*calls, timeout=60.0):
+    """Each call on its own new thread, which owns no chunk workers yet. A
+    call that has not finished after ``timeout`` s fails the test instead of
+    stalling the suite; an error a call raises is raised here."""
+    results = [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = (True, calls[i]())
+        except BaseException as exc:
+            results[i] = (False, exc)
+
+    callers = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(calls))]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout)
+        assert not caller.is_alive(), "a call did not finish: deadlock?"
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
+
+
+def record_chunk_threads(monkeypatch):
+    """(seed, thread) for every two-step chunk ``estimate_mse`` runs. The
+    thread object is kept, not its ident: an ident may be reused once its
+    thread ends, an object held here is not."""
+    seen = []
+    batch = ex.run_two_step_batch
+
+    def recorded(fn, theta, plan, stream, n):
+        seen.append((stream.seed, threading.current_thread()))
+        return batch(fn, theta, plan, stream, n)
+
+    monkeypatch.setattr(ex, "run_two_step_batch", recorded)
+    return seen
+
+
+def normal_draw(stream, n):
+    return stream.generator().standard_normal(n)
+
+
+def test_consecutive_calls_reuse_their_workers(monkeypatch):
+    seen = record_chunk_threads(monkeypatch)
+    cfg, trials = product_config(), 4 * ex.CHUNK
+
+    def two_calls():
+        first = ex.estimate_mse(cfg, trials, 7, threads=2)
+        second = ex.estimate_mse(cfg, trials, 7, threads=2)
+        # checked before this caller ends: its workers end with it
+        alive = all(thread.is_alive() for _, thread in seen)
+        return first, second, threading.current_thread(), alive
+
+    ((first, second, caller, alive),) = on_new_threads(two_calls)
+    workers = {thread for _, thread in seen}
+    assert len(seen) == 8 and first == second
+    # both calls ran on one pair of workers, still alive after the second
+    assert len(workers) <= 2 and caller not in workers and alive
+    for worker in workers:  # and they end with their caller
+        worker.join(10)
+        assert not worker.is_alive()
+    assert first == ex.estimate_mse(cfg, trials, 7, threads=1)
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+def test_no_call_runs_on_more_workers_than_threads(monkeypatch, threads):
+    seen = record_chunk_threads(monkeypatch)
+    cfg = product_config()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        on_new_threads(lambda: ex.estimate_mse(cfg, 6 * ex.CHUNK, 7,
+                                               threads=threads))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 6
+    assert len({thread for _, thread in seen}) <= threads
+
+
+def test_concurrent_callers_get_disjoint_workers(monkeypatch):
+    seen = record_chunk_threads(monkeypatch)
+    cfg, trials, seeds = product_config(), 4 * ex.CHUNK, (11, 12)
+    want = [ex.estimate_mse(cfg, trials, seed, threads=1) for seed in seeds]
+    seen.clear()
+    start = threading.Barrier(2)
+
+    def caller(seed):
+        start.wait()
+        return ex.estimate_mse(cfg, trials, seed, threads=2)
+
+    got = on_new_threads(*(lambda s=seed: caller(s) for seed in seeds))
+    assert got == want
+    workers = [{thread for s, thread in seen if s == seed} for seed in seeds]
+    assert all(1 <= len(w) <= 2 for w in workers)
+    assert not workers[0] & workers[1]
+
+
+# the draw runs on a worker, which gets workers of its own instead of
+# queueing behind itself on the pool that runs it; run in a child
+# interpreter, so that a deadlock cannot keep this one from exiting
+FANS_OUT = """
+from qsn import experiment as ex
+from qsn.measurement import RngStream
+
+def normal_draw(stream, n):
+    return stream.generator().standard_normal(n)
+
+def run(threads):
+    def draw(stream, n):
+        m1, _, _ = ex.collect_error_moments(normal_draw, 2 * ex.CHUNK,
+                                            stream, threads)
+        return normal_draw(stream, n) + m1
+
+    return ex.collect_error_moments(draw, 3 * ex.CHUNK, RngStream(5), threads)
+
+print(run(2) == run(1))
+"""
+
+# an estimate on two threads, whose workers are idle when the program ends
+THREADED_ESTIMATE = """
+from qsn import experiment as ex, functions as fns, protocol as pr
+cfg = ex.ExperimentConfig(fns.product(2), (1.0, 1.0),
+                          pr.ResourceBudget("qubit-time", 1e3))
+print(repr(ex.estimate_mse(cfg, 3 * ex.CHUNK, 7, threads=2).mse))
+"""
+
+
+def run_python(code: str) -> str:
+    """Standard output of ``code`` in a new interpreter, which must exit 0
+    within 60 s."""
+    src = str(Path(qsn.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_a_draw_that_fans_out_itself_completes():
+    assert run_python(FANS_OUT) == "True\n"
+
+
+def test_a_failing_chunk_propagates_and_spares_the_next_call():
+    started, stopped = [], []
+    last_started = threading.Event()
+
+    def failing(stream, n):
+        chunk = stream.index % 2**20
+        started.append(chunk)
+        try:
+            if chunk == 0:
+                last_started.wait(10)
+            elif chunk == 1:
+                raise ArithmeticError("chunk 1 fails")
+            else:  # still running when the call sees chunk 1 fail
+                last_started.set()
+                time.sleep(0.2)
+            return normal_draw(stream, n)
+        finally:
+            stopped.append(chunk)
+
+    def calls():
+        with pytest.raises(ArithmeticError, match="chunk 1 fails"):
+            ex.collect_error_moments(failing, 3 * ex.CHUNK, RngStream(9), 2)
+        # every chunk the call started had stopped when it raised
+        assert sorted(stopped) == sorted(started)
+        return ex.collect_error_moments(normal_draw, 3 * ex.CHUNK,
+                                        RngStream(9), 2)
+
+    want = ex.collect_error_moments(normal_draw, 3 * ex.CHUNK, RngStream(9), 1)
+    assert on_new_threads(calls) == [want]
+
+
+def _child_estimate(conn):
+    conn.send(repr(ex.estimate_mse(product_config(), 3 * ex.CHUNK, 7,
+                                   threads=2)))
+    conn.close()
+
+
+def test_a_forked_child_runs_threaded_estimates():
+    # the forking thread owns live workers; the child's copies of them have
+    # no threads, so it must start afresh instead of waiting on them
+    def parent_then_child():
+        want = repr(ex.estimate_mse(product_config(), 3 * ex.CHUNK, 7,
+                                    threads=2))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_estimate, args=(send,))
+        child.start()
+        send.close()
+        try:
+            finished = receive.poll(60)
+            got = receive.recv() if finished else None
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        return finished, got, want, child.exitcode
+
+    ((finished, got, want, exitcode),) = on_new_threads(parent_then_child,
+                                                        timeout=120)
+    assert finished, "the forked child did not finish: deadlock?"
+    assert exitcode == 0 and got == want
+
+
+def test_idle_workers_let_the_interpreter_exit():
+    want = ex.estimate_mse(product_config(), 3 * ex.CHUNK, 7, threads=1).mse
+    assert run_python(THREADED_ESTIMATE) == f"{want!r}\n"
 
 
 def test_sweep_off_tie_matches_prediction():

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -385,13 +386,22 @@ def test_pilot_results_never_alias_the_workspace():
 
 
 def test_pilot_estimate_mse_is_bit_equal_on_reused_and_fresh_buffers():
-    # three chunks; threads=2 runs them on fresh threads with fresh
-    # workspaces, threads=1 on this thread after calls at other shapes
+    # three chunks; the reference runs them at threads=1 on a brand-new
+    # thread, so on a fresh workspace (chunk workers outlive a call, so at
+    # threads=2 they may reuse theirs); the checks run them on this thread
+    # after calls at other shapes
     cfg = ex.ExperimentConfig(fns.product(3), (0.8, 1.1, 1.4),
                               pr.ResourceBudget("photon-number", 20000),
                               protocol="unentangled", pilot_fraction=0.1)
     trials = 2 * ex.CHUNK + 5
-    fresh = ex.estimate_mse(cfg, trials, 71, threads=2)
+    got = []
+    caller = threading.Thread(
+        target=lambda: got.append(ex.estimate_mse(cfg, trials, 71, threads=1)),
+        daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive() and len(got) == 1
+    fresh = got[0]
     for d, n in ((5, ex.CHUNK), (2, 150)):
         other = ex.ExperimentConfig(fns.product(d), (0.9,) * d,
                                     pr.ResourceBudget("photon-number", 20000),
