@@ -51,8 +51,11 @@ class Ansatz:
     ``field_rule(c, x)`` maps one parameter vector and an array of locations
     to field values; ``jacobian_rule(c, x)`` returns dF/dc stacked over the
     locations, shape (len(x), param_dim). The optional batch rules take a
-    (n, param_dim) block of parameter vectors at once; without them the
-    batch entry points fall back to row loops.
+    (n, param_dim) block of parameter vectors at once and return shapes
+    (n, len(x)) and (n, len(x), param_dim); without them the batch entry
+    points fall back to row loops. A batch rule may return any strided view
+    of its shape (the Gaussian beam returns transposed location-major
+    blocks), and its parameter block may itself be such a view.
     """
 
     param_dim: int
@@ -130,24 +133,25 @@ def gaussian_beam() -> Ansatz:
             axis=1,
         )
 
-    # each batch rule writes its result into one block, evaluating
-    # a exp(-2 dx^2 / w^2), a e 4 dx / w^2 and a e 4 dx^2 / w^3 left to right
-    # as written above; the Jacobian's block is parameter-major, so each
-    # column is contiguous, and is returned as an (n, len(x), 3) view
+    # each batch rule evaluates a exp(-2 dx^2 / w^2), a e 4 dx / w^2 and
+    # a e 4 dx^2 / w^3 left to right as written above, into one
+    # location-major block, so each op runs over contiguous rows of n
+    # trials, and returns its transpose: (len(x), n) as (n, len(x)) for the
+    # field, (3, len(x), n) as (n, len(x), 3) for the Jacobian
     def field_batch(cs, x):
-        a, x0, w = cs[:, 0:1], cs[:, 1:2], cs[:, 2:3]
-        out = np.subtract(x[None, :], x0)
+        a, x0, w = cs[:, 0], cs[:, 1], cs[:, 2]
+        out = np.subtract(x[:, None], x0)
         np.square(out, out=out)
         np.multiply(-2.0, out, out=out)
         np.divide(out, w**2, out=out)
         np.exp(out, out=out)
-        return np.multiply(a, out, out=out)
+        return np.multiply(a, out, out=out).T
 
     def jacobian_batch(cs, x):
-        a, x0, w = cs[:, 0:1], cs[:, 1:2], cs[:, 2:3]
-        cols = np.empty((3, len(cs), x.size))
-        e, d_center, d_waist = cols
-        dx = np.subtract(x[None, :], x0, out=d_center)
+        a, x0, w = cs[:, 0], cs[:, 1], cs[:, 2]
+        block = np.empty((3, x.size, len(cs)))
+        e, d_center, d_waist = block
+        dx = np.subtract(x[:, None], x0, out=d_center)
         w2 = w**2
         tmp = np.square(dx)
         np.multiply(-2.0, tmp, out=tmp)
@@ -160,7 +164,7 @@ def gaussian_beam() -> Ansatz:
         np.multiply(ae4, dx, out=d_center)
         np.divide(d_center, w2, out=d_center)
         np.divide(tmp, w**3, out=d_waist)
-        return np.moveaxis(cols, 0, -1)
+        return block.T
 
     return Ansatz(param_dim=3, label="gaussian-beam", field_rule=field,
                   jacobian_rule=jacobian, field_batch_rule=field_batch,
@@ -227,6 +231,11 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
     its per-thread workspace's buffers, so a chunk's solves reuse memory
     instead of faulting in about forty fresh (n,) arrays each. Use the
     returned array: the LAPACK path ignores both and returns a fresh one.
+
+    Every op reads or writes whole (n,) columns ``jac[:, k, j]``,
+    ``rhs[:, k]`` and ``out[:, k]``, so strides change speed, not bits.
+    ``_batch_newton`` passes location-major views, the (n, 3, 3) and (n, 3)
+    transposes of (3, 3, n) and (3, n) blocks, whose columns are contiguous.
 
     A singular row raises SingularJacobianError, and no NaN or inf is
     returned. At p = 3 a row is singular when |det| is not above
@@ -301,30 +310,38 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
     row's bits can depend on the block it is inverted in. Non-finite
     readings and rows that never converge are an error, not a NaN.
 
-    The residual, its magnitude, the step, the iterate and the solve's work
-    block live in ``space`` (a fresh workspace when not given); the
-    returned parameters are a fresh array.
+    The residual, its magnitude, the step, the iterate, a copy of the
+    readings and the solve's work block live in ``space`` (a fresh
+    workspace when not given). All but the work block are (p, n) buffers
+    seen as (n, p) views, location-major like the beam's batch rules, so
+    every elementwise op and every solve column runs over a contiguous row,
+    whatever strides the readings arrive with. The returned parameters are
+    a fresh C-ordered array.
     """
     if not np.all(np.isfinite(readings)):
         # an infinite reading would make the tolerance infinite and pass
         # every row at the anchor
         raise EvaluationError("non-finite sensor reading")
+    shape = readings.shape
+    if shape[0] == 0:
+        return np.empty(shape)
     if space is None:
         space = Workspace()
-    shape = readings.shape
-    resid, size = space.take("resid", shape), space.take("size", shape)
-    step = space.take("step", shape)
+    resid, size, step, iterate, observed = (
+        space.take(name, shape[::-1]).T
+        for name in ("resid", "size", "step", "iterate", "readings"))
+    observed[...] = readings
     work = space.take("solve", (SOLVE_WORK_ROWS, shape[0]))
     c = start[None, :]
     locs = layout.points()
     tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(readings))))
     for _ in range(NEWTON_MAX_ITER):
-        np.subtract(ansatz.field_batch(c, locs), readings, out=resid)
+        np.subtract(ansatz.field_batch(c, locs), observed, out=resid)
         if float(np.max(np.abs(resid, out=size))) <= tol:
             return np.broadcast_to(c, shape).copy()
         delta = _solve_rows(ansatz.jacobian_batch(c, locs), resid, work=work,
                             out=step)
-        c = np.subtract(c, delta, out=space.take("iterate", shape))
+        c = np.subtract(c, delta, out=iterate)
         if not np.all(np.isfinite(c)):
             raise EvaluationError("sensor-map inversion diverged")
     resid = ansatz.field_batch(c, locs) - readings

@@ -86,6 +86,39 @@ def test_beam_batch_rules_match_row_loops():
         BEAM.jacobian_batch(cs, x), np.stack([BEAM.jacobian(c, x) for c in cs]))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 8191])
+def test_beam_batch_rows_keep_their_bits_in_any_block(n):
+    # the batch rules run each op over a length-n row of trials, so a row's
+    # exp lands in a different SIMD lane, or in the tail, in every block
+    # size; each row must still carry the bits it gets on its own
+    rng = np.random.default_rng(n)
+    cs = np.column_stack([rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 0.5, n),
+                          rng.uniform(0.2, 3.0, n)])
+    for x in (rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 1)):
+        for rule in (BEAM.field_batch_rule, BEAM.jacobian_batch_rule):
+            alone = np.concatenate([rule(c[None], x) for c in cs])
+            assert np.array_equal(rule(cs, x).view(np.int64),
+                                  alone.view(np.int64))
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_solve_rows_bits_do_not_depend_on_layout(transposed):
+    # the Newton loop hands the solve location-major views: (n, 3, 3) and
+    # (n, 3) transposes of (3, 3, n) and (3, n) blocks
+    rng = np.random.default_rng(4)
+    n = 37
+    jac = (rng.standard_normal((3, 3, n)) + 3.0 * np.eye(3)[:, :, None]).T
+    rhs = rng.standard_normal((3, n)).T
+    want = ip._solve_rows(np.ascontiguousarray(jac), np.ascontiguousarray(rhs),
+                          transposed).view(np.int64)
+    for args in ((np.ascontiguousarray(jac), np.ascontiguousarray(rhs)),
+                 (jac, rhs)):
+        for out in (np.empty((n, 3)), np.empty((3, n)).T):
+            got = ip._solve_rows(*args, transposed, out=out)
+            assert got is out
+            assert np.array_equal(got.view(np.int64), want)
+
+
 def test_ansatz_jacobian_shape_guard():
     bad = ip.Ansatz(param_dim=1, label="bad",
                     field_rule=lambda c, x: c[0] * x,
@@ -186,6 +219,30 @@ def invert(readings, layout, start):
     """The sensor-map inversion the induced function runs, for one row."""
     return ip._batch_newton(BEAM, layout, np.asarray(readings)[None, :],
                             np.asarray(start, dtype=float))[0]
+
+
+def test_batch_newton_returns_a_fresh_c_ordered_block_for_any_layout():
+    rng = np.random.default_rng(3)
+    readings = READINGS + 1e-3 * rng.standard_normal((50, 3))
+    space = fns.Workspace()
+    got = ip._batch_newton(BEAM, LAYOUT, readings, TRUE, space)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not any(np.shares_memory(got, buf) for buf in space.buffers.values())
+    bits = got.tobytes()
+    # readings that arrive as a transposed view invert to the same bits
+    again = ip._batch_newton(BEAM, LAYOUT, np.asfortranarray(readings), TRUE,
+                             space)
+    assert again.tobytes() == bits and got.tobytes() == bits
+
+
+def test_empty_reading_block_gives_empty_results():
+    # the same shapes as a closed-form function gives, with no inversion
+    empty = np.empty((0, 3))
+    fn, closed = ip.induced_function(BEAM, LAYOUT, TRUE), fns.product(3)
+    assert fn.values(empty).shape == closed.values(empty).shape == (0,)
+    assert fn.gradients(empty).shape == closed.gradients(empty).shape == (0, 3)
+    assert ip._batch_newton(BEAM, LAYOUT, empty, TRUE).shape == (0, 3)
+    assert fn.value(READINGS) == pytest.approx(np.exp(-0.02), rel=1e-12)
 
 
 def test_fit_noiseless_round_trip():
