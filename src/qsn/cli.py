@@ -5,6 +5,10 @@ Subcommands mirror the library surface: ``bounds`` (analytic limits),
 ``allocate`` (resource splits), ``verify-fom`` (expansion check), and
 ``interpolate`` (field estimation at an unsensed point).
 
+Budget flags parse to a grid: ``--time``/``--photons`` to one point,
+``sweep``'s ``--times``/``--photons`` to several, and ``_budget_grid`` checks
+whichever was given. ``simulate`` is a one-point ``sweep``: one handler.
+
 Conventions. Every subcommand builds a list of row dicts, and one writer
 serializes them: CSV on stdout unless ``--out``/``--format json`` say
 otherwise, headed by the first row's keys; JSON carries a metadata header
@@ -28,9 +32,9 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__, allocation, bounds, functions
-from .experiment import (MIN_TRIALS, ExperimentConfig, base_metadata,
-                         check_grid, fom_battery, sweep_resource,
-                         verify_general_fom)
+from .experiment import (MIN_TRIALS, PROTOCOLS, ExperimentConfig,
+                         base_metadata, check_grid, fom_battery,
+                         sweep_resource, verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
 from .measurement import RngStream
 from .protocol import ResourceBudget, build_plan, parse_policy
@@ -55,6 +59,18 @@ def float_list(text: str) -> tuple:
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated list")
     return tuple(finite_float(t) for t in items)
+
+
+def positive_list(text: str) -> tuple:
+    values = float_list(text)
+    if min(values) <= 0:
+        raise argparse.ArgumentTypeError("expected positive numbers")
+    return values
+
+
+def one_point(parse):
+    """A single-budget flag's type: its value as a one-point grid."""
+    return lambda text: (parse(text),)
 
 
 def positive_int(text: str) -> int:
@@ -128,17 +144,19 @@ def resolve_seed(args) -> int:
     return seed
 
 
-def _budget_from(args) -> ResourceBudget:
-    time_given = getattr(args, "time", None) is not None
-    photons_given = getattr(args, "photons", None) is not None
-    if time_given == photons_given:
-        raise UsageError("give exactly one of --time or --photons")
+def _budget_grid(args) -> tuple[ResourceBudget, list]:
+    """The budget at the first point and the checked grid of whichever
+    budget flag was given; ``--time`` and ``--photons`` give one point."""
+    if (args.time is None) == (args.photons is None):
+        raise UsageError("give exactly one budget: --time (--times on sweep) "
+                         "or --photons")
+    kind, grid = (("qubit-time", args.time) if args.photons is None
+                  else ("photon-number", args.photons))
     try:
-        if time_given:
-            return ResourceBudget("qubit-time", args.time)
-        return ResourceBudget("photon-number", float(args.photons))
+        grid = check_grid(kind, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return ResourceBudget(kind, grid[0]), grid
 
 
 def _check_policy(policy: str, kind: str) -> str:
@@ -203,19 +221,13 @@ def _write_out(args, text: str) -> None:
         raise OSError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _emit_records(args, records, seed: int) -> None:
-    if getattr(args, "no_timestamp", False):
-        records = [replace(r, ms_elapsed=0.0) for r in records]
-    _emit_rows(args, [asdict(r) for r in records], seed, key="records")
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
 def _cmd_bounds(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
-    rep = bounds.for_budget(bounds.point_model(fn, theta), _budget_from(args))
+    rep = bounds.for_budget(bounds.point_model(fn, theta), _budget_grid(args)[0])
     _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,
@@ -229,54 +241,27 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _config_from(args) -> ExperimentConfig:
-    fn = args.function
-    theta = _check_theta(fn, args.theta)
-    budget = _budget_from(args)
-    return ExperimentConfig(
-        function=fn,
-        theta=theta,
-        budget=budget,
-        protocol=args.protocol,
-        policy=_check_policy(args.alloc, budget.kind),
-    )
-
-
-def _cmd_simulate(args) -> int:
-    seed = resolve_seed(args)
-    cfg = _config_from(args)
-    records = sweep_resource(cfg, [cfg.budget.amount], args.trials, seed,
-                             threads=args.threads)
-    _emit_records(args, records, seed)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
+    """``sweep``, and ``simulate`` as its one-point case."""
     seed = resolve_seed(args)
-    if (args.times is None) == (args.photon_grid is None):
-        raise UsageError("give exactly one of --times or --photons")
-    grid = args.times if args.times is not None else args.photon_grid
-    kind = "qubit-time" if args.times is not None else "photon-number"
     fn = args.function
     theta = _check_theta(fn, args.theta)
-    try:
-        grid = check_grid(kind, grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    cfg = ExperimentConfig(function=fn, theta=theta,
-                           budget=ResourceBudget(kind, grid[0]),
+    budget, grid = _budget_grid(args)
+    cfg = ExperimentConfig(function=fn, theta=theta, budget=budget,
                            protocol=args.protocol,
-                           policy=_check_policy(args.alloc, kind))
+                           policy=_check_policy(args.alloc, budget.kind))
     records = sweep_resource(cfg, grid, args.trials, seed,
                              threads=args.threads)
-    _emit_records(args, records, seed)
+    if args.no_timestamp:
+        records = [replace(r, ms_elapsed=0.0) for r in records]
+    _emit_rows(args, [asdict(r) for r in records], seed, key="records")
     return 0
 
 
 def _cmd_allocate(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
-    budget = _budget_from(args)
+    budget, _ = _budget_grid(args)
     model = bounds.point_model(fn, theta)
     plan = build_plan(model, budget, _check_policy(args.alloc, budget.kind))
     predicted = allocation.predicted_mse(model, plan)
@@ -297,6 +282,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_verify_fom(args) -> int:
+    if (args.function is None) != (args.theta is None):
+        raise UsageError("--function and --theta go together")
     seed = resolve_seed(args)
     rows = []
     if args.function is not None:
@@ -334,7 +321,7 @@ def _cmd_interpolate(args) -> int:
         layout = SensorLayout(locations=args.sensors, target=args.target)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = run_interpolation(beam, args.params, layout, _budget_from(args),
+    report = run_interpolation(beam, args.params, layout, _budget_grid(args)[0],
                                args.trials, seed, threads=args.threads)
     _emit_rows(args, [{
         "truth": report.truth,
@@ -360,8 +347,9 @@ def _add_common(sub, budget=True, seeded=True):
     sub.add_argument("--threads", type=positive_int,
                      default=os.cpu_count() or 1)
     if budget:
-        sub.add_argument("--time", type=finite_float, default=None)
-        sub.add_argument("--photons", type=positive_int, default=None)
+        sub.add_argument("--time", type=one_point(finite_float), default=None)
+        sub.add_argument("--photons", type=one_point(positive_int),
+                         default=None)
     if seeded:
         sub.add_argument("--seed", type=int, default=None,
                          help="falls back to QSN_SEED, then 0")
@@ -387,29 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = subs.add_parser("simulate", help="Monte Carlo MSE at one budget")
-    _add_function(p)
-    p.add_argument("--protocol", choices=("two-step", "unentangled"),
-                   default="two-step")
-    p.add_argument("--alloc", default="optimal",
-                   help="optimal | numeric | power:c,p | fixed:x")
-    p.add_argument("--trials", type=trial_count, default=200000)
-    p.add_argument("--no-timestamp", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = subs.add_parser("sweep", help="Monte Carlo MSE across a budget grid")
-    _add_function(p)
-    p.add_argument("--times", type=float_list, default=None)
-    p.add_argument("--photons", dest="photon_grid", type=float_list,
-                   default=None)
-    p.add_argument("--protocol", choices=("two-step", "unentangled"),
-                   default="two-step")
-    p.add_argument("--alloc", default="optimal")
-    p.add_argument("--trials", type=trial_count, default=200000)
-    p.add_argument("--no-timestamp", action="store_true")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_sweep)
+    for name, help_, grid in (
+            ("simulate", "Monte Carlo MSE at one budget", False),
+            ("sweep", "Monte Carlo MSE across a budget grid", True)):
+        p = subs.add_parser(name, help=help_)
+        _add_function(p)
+        if grid:
+            p.add_argument("--times", dest="time", type=float_list,
+                           default=None)
+            p.add_argument("--photons", type=float_list, default=None)
+        p.add_argument("--protocol", choices=PROTOCOLS, default="two-step")
+        p.add_argument("--alloc", default="optimal",
+                       help="optimal | numeric | power:c,p | fixed:x")
+        p.add_argument("--trials", type=trial_count, default=200000)
+        p.add_argument("--no-timestamp", action="store_true")
+        _add_common(p, budget=not grid)
+        p.set_defaults(handler=_cmd_sweep)
 
     p = subs.add_parser("allocate", help="resource split for a budget")
     _add_function(p)
@@ -423,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", type=parse_function_spec, default=None,
                    help="omit to run the built-in battery")
     p.add_argument("--theta", type=float_list, default=None)
-    p.add_argument("--sigma", type=float_list, required=True)
+    p.add_argument("--sigma", type=positive_list, required=True)
     p.add_argument("--trials", type=trial_count, default=1000000)
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_verify_fom)
@@ -446,9 +427,6 @@ def run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["qsn", *argv]
-    if args.command == "verify-fom" and (args.function is None) != (args.theta is None):
-        print("error: --function and --theta go together", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -23,7 +23,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -388,7 +388,8 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
     grid is checked before the first point runs. Theta is the same at every
     point, so one ``bounds.point_model`` serves the whole grid: each
     two-step point's plan (used for the run and the prediction alike), each
-    prediction and each bound are read from it.
+    prediction and each bound are read from it, before the point's Monte
+    Carlo runs; ``ms_elapsed`` times that Monte Carlo alone.
     """
     grid = check_grid(config.budget.kind, grid)
     model = bounds.point_model(config.function, config.theta)
@@ -396,13 +397,15 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
     records = []
     for i, amount in enumerate(grid):
         cfg = config.with_resource(amount)
-        t0 = time.perf_counter()
+        report = bounds.for_budget(model, cfg.budget)
         if two_step:
             cfg = replace(cfg, plan=build_plan(model, cfg.budget, cfg.policy))
+            predicted = allocation.predicted_mse(model, cfg.plan)
+        else:
+            predicted = report.unentangled_baseline
+        t0 = time.perf_counter()
         est = estimate_mse(cfg, trials, master_seed, threads=threads,
                            stream_index=i)
-        ms = (time.perf_counter() - t0) * 1e3
-        report = bounds.for_budget(model, cfg.budget)
         records.append(SweepRecord(
             protocol=cfg.protocol,
             function=cfg.function.label,
@@ -413,11 +416,10 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
             mse=est.mse,
             mse_se=est.se,
             bias=est.bias,
-            predicted_mse=(allocation.predicted_mse(model, cfg.plan) if two_step
-                           else report.unentangled_baseline),
+            predicted_mse=predicted,
             bound=report.entangled_bound,
             seed=master_seed,
-            ms_elapsed=ms,
+            ms_elapsed=(time.perf_counter() - t0) * 1e3,
         ))
     return records
 
@@ -442,10 +444,7 @@ def fit_scaling_exponent(records, mses=None) -> tuple[float, float]:
     sxx = float(xc @ xc)
     slope = float(xc @ y) / sxx
     resid = y - y.mean() - slope * xc
-    dof = res.size - 2
-    if dof == 0:
-        return slope, 0.0
-    se = math.sqrt(float(resid @ resid) / dof / sxx)
+    se = math.sqrt(float(resid @ resid) / (res.size - 2) / sxx)
     return slope, se
 
 
@@ -462,39 +461,39 @@ def base_metadata() -> dict:
     }
 
 
-def _record_from_mapping(row: dict, theta) -> SweepRecord:
-    return SweepRecord(
-        protocol=str(row["protocol"]),
-        function=str(row["function"]),
-        theta=tuple(float(x) for x in theta),
-        resource_kind=str(row["resource_kind"]),
-        resource=float(row["resource"]),
-        trials=int(row["trials"]),
-        mse=float(row["mse"]),
-        mse_se=float(row["mse_se"]),
-        bias=float(row["bias"]),
-        predicted_mse=float(row["predicted_mse"]),
-        bound=float(row["bound"]),
-        seed=int(row["seed"]),
-        ms_elapsed=float(row["ms_elapsed"]),
-    )
-
-
 def load_records(source) -> list:
     """Read the records that ``qsn simulate`` and ``qsn sweep`` write, as CSV
     or JSON (format from the extension). Floats are written as their
-    shortest round-trip reprs, so the records reload exactly."""
+    shortest round-trip reprs, so the records reload exactly.
+
+    The columns are the fields of ``SweepRecord``. Raises OSError if the
+    file cannot be read, ValueError if it holds no records or they lack a
+    column (as the files other subcommands write do)."""
     source = str(source)
     try:
-        if source.endswith(".json"):
-            with open(source) as fh:
-                payload = json.load(fh)
-            return [_record_from_mapping(r, r["theta"])
-                    for r in payload["records"]]
         with open(source, newline="") as fh:
-            return [
-                _record_from_mapping(row, row["theta"].split(";"))
-                for row in csv.DictReader(fh)
-            ]
+            if source.endswith(".json"):
+                payload = json.load(fh)
+                rows = (payload.get("records") if isinstance(payload, dict)
+                        else None)
+            else:
+                rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise OSError(f"cannot read records from {source}: {exc}") from exc
+    if rows is None:
+        raise ValueError(f"{source} has no 'records' key")
+    # a column parses by its field's annotation (a string, as annotations
+    # are postponed here); a CSV theta is ';'-joined
+    parse = {"str": str, "int": int, "float": float,
+             "tuple": lambda v: tuple(float(x) for x in (
+                 v.split(";") if isinstance(v, str) else v))}
+    columns = fields(SweepRecord)
+    records = []
+    for row in rows:
+        missing = [c.name for c in columns if c.name not in row]
+        if missing:
+            raise ValueError(f"{source}: records lack the columns "
+                             + ", ".join(missing))
+        records.append(SweepRecord(**{c.name: parse[c.type](row[c.name])
+                                      for c in columns}))
+    return records

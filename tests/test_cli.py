@@ -147,6 +147,86 @@ def test_json_metadata_stamps_version_and_assumptions(capsys, argv, key):
     assert meta["command"] == " ".join(["qsn", *argv, "--format", "json"])
 
 
+@pytest.mark.parametrize("budget, grid", [("--time", "--times"),
+                                          ("--photons", "--photons")])
+@pytest.mark.parametrize("protocol", ["two-step", "unentangled"])
+def test_simulate_is_a_one_point_sweep(capsys, budget, grid, protocol):
+    amount = "1000" if budget == "--photons" else "1e3"
+    common = ["--function", "product:d=2", "--theta", "1,0.7", "--protocol",
+              protocol, "--trials", "300", "--seed", "9", "--threads", "1",
+              "--no-timestamp"]
+    outs = {}
+    for fmt in ("csv", "json"):
+        for argv in (["simulate", *common, budget, amount],
+                     ["sweep", *common, grid, amount]):
+            assert run_command([*argv, "--format", fmt]) == 0
+            outs[fmt, argv[0]] = capsys.readouterr().out
+    assert outs["csv", "simulate"] == outs["csv", "sweep"]
+    one, two = (json.loads(outs["json", c]) for c in ("simulate", "sweep"))
+    assert one["records"] == two["records"]
+    assert len(one["records"]) == 1
+    for payload in (one, two):
+        payload["metadata"].pop("command")
+    assert one == two
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep", "allocate",
+                                     "verify-fom", "interpolate"])
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_command([command, "--help"])
+    assert exc.value.code == 0
+    assert f"qsn {command}" in capsys.readouterr().out
+
+
+def test_unpredictable_plan_fails_before_monte_carlo(capsys, monkeypatch):
+    # the model cannot predict a zero step-1 time for a curved target: the
+    # point fails on its prediction, before any trial is drawn
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the prediction")
+
+    monkeypatch.setattr(experiment, "estimate_mse", no_monte_carlo)
+    for command, grid in (("simulate", "--time"), ("sweep", "--times")):
+        assert run_command(
+            [command, "--function", "quadratic:A=1,0;0,1,b=1,1", "--theta",
+             "1,1", grid, "1e3", "--alloc", "fixed:0", "--trials", "200",
+             "--threads", "1"]) == 1
+        assert "t1 = 0 only valid" in capsys.readouterr().err
+
+
+def test_verify_fom_sigma_must_be_positive(capsys, monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the usage check")
+
+    monkeypatch.setattr(experiment, "collect_error_moments", no_monte_carlo)
+    for sigma in ("-0.1", "0", "0.05,0", "0.05,-1"):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["verify-fom", "--function", "product:d=2",
+                         "--theta", "1,1", f"--sigma={sigma}",
+                         "--trials", "200"])
+        assert exc.value.code == 2
+        assert "expected positive numbers" in capsys.readouterr().err
+    # --function and --theta pair up, checked before any Monte Carlo too
+    for half in (["--function", "product:d=2"], ["--theta", "1,1"]):
+        assert run_command(["verify-fom", *half, "--sigma", "0.05"]) == 2
+        assert (capsys.readouterr().err
+                == "error: --function and --theta go together\n")
+
+
+@pytest.mark.parametrize("name", ["b.csv", "b.json"])
+def test_load_records_rejects_other_subcommands_output(tmp_path, name):
+    out = tmp_path / name
+    assert run_command(["bounds", "--function", "linear:3,4", "--theta",
+                        "0,0", "--time", "10", "--out", str(out)]) == 0
+    missing = "records" if name.endswith(".json") else "protocol, trials"
+    with pytest.raises(ValueError, match=f"{name}.*{missing}"):
+        load_records(out)
+    if name.endswith(".json"):
+        out.write_text("[]\n")
+        with pytest.raises(ValueError, match="records"):
+            load_records(out)
+
+
 def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "x.csv"
     for argv in (["sweep", "--function", "linear:3,4", "--theta", "0,0",
