@@ -22,16 +22,18 @@ from . import bounds
 from .measurement import count_variances, largest_remainder
 
 GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 500
 PARTITION_TOL = 1e-10
+PARTITION_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
 class AllocationPlan:
     """Resource split consumed by the protocol runners.
 
-    Time plans carry (t1, t2) with t1 + t2 = total; t1 = 0 is the
+    Time plans carry (t1, t2) with t2 = total - t1 exactly; t1 = 0 is the
     constant-gradient fast path that skips step 1 entirely. Photon plans
-    carry (n1, n2) plus the integer step-1 mode counts.
+    carry (n1, n2) with n1 > 0, plus nonnegative integer step-1 mode counts.
     """
 
     kind: str
@@ -47,15 +49,16 @@ class AllocationPlan:
         if self.kind == "qubit-time":
             if self.t1 < 0 or self.t2 <= 0:
                 raise ValueError("time plan needs t1 >= 0 and t2 > 0")
-            if not np.isclose(self.t1 + self.t2, self.total):
-                raise ValueError("t1 + t2 must equal the total budget")
+            if self.t2 != self.total - self.t1:
+                raise ValueError("t2 must be the total budget less t1")
         elif self.kind == "photon-number":
-            if self.n1 < 0 or self.n2 <= 0:
-                raise ValueError("photon plan needs n1 >= 0 and n2 > 0")
+            if self.n1 <= 0 or self.n2 <= 0:
+                raise ValueError("photon plan needs n1 > 0 and n2 > 0")
             if self.n1 + self.n2 != int(self.total):
                 raise ValueError("n1 + n2 must equal the total budget")
-            if self.n1 and sum(self.mode_counts) != self.n1:
-                raise ValueError("step-1 mode counts must sum to n1")
+            if sum(self.mode_counts) != self.n1 or min(self.mode_counts) < 0:
+                raise ValueError("step-1 mode counts must be nonnegative "
+                                 "and sum to n1")
         else:
             raise ValueError("kind must be 'qubit-time' or 'photon-number'")
 
@@ -66,12 +69,12 @@ class AllocationPlan:
         return self.kind == "qubit-time" and self.t1 == 0.0
 
 
-def golden_section_min(fn, lo: float, hi: float, rel_tol: float = GOLDEN_TOL,
-                       max_iter: int = 500) -> tuple[float, float]:
+def golden_section_min(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimum of a unimodal fn on [lo, hi].
 
     Returns (argmin, min). Bracket width shrinks by the golden ratio each
-    step until it falls under rel_tol * max(1, |argmin|).
+    step until it falls under GOLDEN_TOL * max(1, |argmin|), for at most
+    GOLDEN_MAX_ITER steps.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -80,8 +83,8 @@ def golden_section_min(fn, lo: float, hi: float, rel_tol: float = GOLDEN_TOL,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(1.0, abs(a) + abs(b)) / 2.0:
+    for _ in range(GOLDEN_MAX_ITER):
+        if (b - a) <= GOLDEN_TOL * max(1.0, abs(a) + abs(b)) / 2.0:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -187,8 +190,7 @@ def fixed_time_split(t_total: float, t1: float) -> AllocationPlan:
 # -- photon splits -------------------------------------------------------------
 
 
-def continuous_pairwise_partition(coeffs: np.ndarray, rel_tol: float = PARTITION_TOL,
-                                  max_iter: int = 20000) -> np.ndarray:
+def continuous_pairwise_partition(coeffs: np.ndarray) -> np.ndarray:
     """Fractions w (sum 1) minimizing sum_ij C_ij/(w_i^2 w_j^2).
 
     The objective is the quadratic form u^T C u in u_i = w_i^{-2}. For
@@ -216,7 +218,7 @@ def continuous_pairwise_partition(coeffs: np.ndarray, rel_tol: float = PARTITION
     if np.all(c == 0.0):
         return np.full(d, 1.0 / d)
     w = np.full(d, 1.0 / d)
-    for _ in range(max_iter):
+    for _ in range(PARTITION_MAX_ITER):
         s = (c @ (1.0 / w**2)) / w**3
         scale = float(np.max(np.abs(s)))
         if scale == 0.0:
@@ -227,7 +229,7 @@ def continuous_pairwise_partition(coeffs: np.ndarray, rel_tol: float = PARTITION
         w_new /= w_new.sum()
         delta = np.abs(w_new - w).max() / w.max()
         w = w_new
-        if delta < rel_tol:
+        if delta < PARTITION_TOL:
             break
     return w
 
@@ -334,8 +336,5 @@ def predicted_mse(model: bounds.PointModel, plan: AllocationPlan) -> float:
     """
     if plan.kind == "qubit-time":
         return model.mse_at(plan.t1, plan.t2)
-    step2 = model.one_norm_sq / plan.n2**2
-    if plan.n1 == 0:
-        return step2
     var = count_variances(np.asarray(plan.mode_counts, dtype=float))
-    return step2 + float(var @ model.coeffs @ var)
+    return model.one_norm_sq / plan.n2**2 + float(var @ model.coeffs @ var)

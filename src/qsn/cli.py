@@ -363,6 +363,7 @@ def _add_function(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsn",
+        allow_abbrev=False,
         description="Entangled sensor-network estimation: bounds, protocol "
                     "simulation, allocation, and field interpolation.",
     )
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("bounds", help="analytic MSE limits for a function")
+    p = subs.add_parser("bounds", allow_abbrev=False,
+                        help="analytic MSE limits for a function")
     _add_function(p)
     _add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_bounds)
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_, grid in (
             ("simulate", "Monte Carlo MSE at one budget", False),
             ("sweep", "Monte Carlo MSE across a budget grid", True)):
-        p = subs.add_parser(name, help=help_)
+        p = subs.add_parser(name, allow_abbrev=False, help=help_)
         _add_function(p)
         if grid:
             p.add_argument("--times", dest="time", type=float_list,
@@ -392,13 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, budget=not grid)
         p.set_defaults(handler=_cmd_sweep)
 
-    p = subs.add_parser("allocate", help="resource split for a budget")
+    p = subs.add_parser("allocate", allow_abbrev=False,
+                        help="resource split for a budget")
     _add_function(p)
     p.add_argument("--alloc", default="optimal")
     _add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_allocate)
 
-    p = subs.add_parser("verify-fom",
+    p = subs.add_parser("verify-fom", allow_abbrev=False,
                         help="check the curvature-term prediction by "
                              "Monte Carlo")
     p.add_argument("--function", type=parse_function_spec, default=None,
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_verify_fom)
 
-    p = subs.add_parser("interpolate",
+    p = subs.add_parser("interpolate", allow_abbrev=False,
                         help="estimate a Gaussian-beam field between sensors")
     p.add_argument("--params", type=float_list, required=True,
                    help="true (amplitude, center, waist)")

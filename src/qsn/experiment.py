@@ -82,8 +82,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
-        if self.plan is not None and self.protocol != "two-step":
-            raise ValueError("an allocation plan applies to two-step runs only")
+        if self.plan is not None:
+            if self.protocol != "two-step":
+                raise ValueError("an allocation plan applies to two-step runs only")
+            if (self.plan.kind, self.plan.total) != (self.budget.kind,
+                                                     self.budget.amount):
+                raise ValueError("the allocation plan must split this "
+                                 "config's budget")
         if self.pilot_fraction is not None and self.protocol != "unentangled":
             raise ValueError("a pilot fraction applies to unentangled runs only")
         as_params(self.theta, self.function.dim)
@@ -424,17 +429,11 @@ def sweep_resource(config: ExperimentConfig, grid, trials: int,
     return records
 
 
-def fit_scaling_exponent(records, mses=None) -> tuple[float, float]:
-    """OLS slope of log(MSE) against log(resource), with standard error.
-
-    Accepts SweepRecords or two parallel sequences (resources, mses).
-    """
-    if mses is None:
-        res = np.array([r.resource for r in records], dtype=float)
-        mse = np.array([r.mse for r in records], dtype=float)
-    else:
-        res = np.asarray(records, dtype=float)
-        mse = np.asarray(mses, dtype=float)
+def fit_scaling_exponent(records) -> tuple[float, float]:
+    """OLS slope of log(MSE) against log(resource) over SweepRecords, with
+    standard error."""
+    res = np.array([r.resource for r in records], dtype=float)
+    mse = np.array([r.mse for r in records], dtype=float)
     if res.size < 3:
         raise ValueError("need at least 3 points to fit a slope")
     if np.any(mse <= 0) or np.any(res <= 0):

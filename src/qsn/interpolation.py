@@ -210,9 +210,8 @@ def forward_readings(ansatz: Ansatz, params, layout: SensorLayout) -> np.ndarray
 SOLVE_WORK_ROWS = 13
 
 
-def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
-                work: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False, *,
+                work: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Solve ``jac[i] x[i] = rhs[i]`` for every row i, or ``jac[i]^T x[i] =
     rhs[i]`` when ``transposed``; ``jac`` is (n, p, p) or a broadcast
     (1, p, p), ``rhs`` is (n, p).
@@ -227,7 +226,7 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
     The p = 3 path keeps its nine cofactors, det, the singularity scale and
     two temporaries in ``work``, a (SOLVE_WORK_ROWS, n) float block, and
     writes the solution into ``out``, an (n, 3) block that must not overlap
-    ``rhs``; either is allocated when not given. The induced function passes
+    ``rhs``; ``out`` is allocated when not given. The induced function passes
     its per-thread workspace's buffers, so a chunk's solves reuse memory
     instead of faulting in about forty fresh (n,) arrays each. Use the
     returned array: the LAPACK path ignores both and returns a fresh one.
@@ -246,8 +245,6 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray, transposed: bool = False,
     n = len(rhs)
     if jac.shape[-1] == 3:
         m = len(jac)
-        if work is None:
-            work = np.empty((SOLVE_WORK_ROWS, n))
         if out is None:
             out = np.empty((n, 3))
         a = [[jac[:, k, j] for k in range(3)] for j in range(3)]
@@ -299,7 +296,7 @@ def _dot(p, q, out, tmp):
 
 
 def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
-                  start: np.ndarray, space: Workspace | None = None) -> np.ndarray:
+                  start: np.ndarray, space: Workspace) -> np.ndarray:
     """Invert the square sensor map for a block of reading rows.
 
     Every row starts from the same anchor, so the inversion is a pure
@@ -311,12 +308,11 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
     readings and rows that never converge are an error, not a NaN.
 
     The residual, its magnitude, the step, the iterate, a copy of the
-    readings and the solve's work block live in ``space`` (a fresh
-    workspace when not given). All but the work block are (p, n) buffers
-    seen as (n, p) views, location-major like the beam's batch rules, so
-    every elementwise op and every solve column runs over a contiguous row,
-    whatever strides the readings arrive with. The returned parameters are
-    a fresh C-ordered array.
+    readings and the solve's work block live in ``space``. All but the work
+    block are (p, n) buffers seen as (n, p) views, location-major like the
+    beam's batch rules, so every elementwise op and every solve column runs
+    over a contiguous row, whatever strides the readings arrive with. The
+    returned parameters are a fresh C-ordered array.
     """
     if not np.all(np.isfinite(readings)):
         # an infinite reading would make the tolerance infinite and pass
@@ -325,8 +321,6 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
     shape = readings.shape
     if shape[0] == 0:
         return np.empty(shape)
-    if space is None:
-        space = Workspace()
     resid, size, step, iterate, observed = (
         space.take(name, shape[::-1]).T
         for name in ("resid", "size", "step", "iterate", "readings"))

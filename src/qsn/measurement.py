@@ -28,6 +28,9 @@ MODELING_ASSUMPTIONS = (
 
 _UINT64_MAX = 2**64 - 1
 
+# Relative central-difference step of ``parity_fisher_information``.
+FISHER_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -99,7 +102,8 @@ def sample_param_estimates(theta, variances, rng, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GHZSpec:
-    """Entangled-state schedule realizing a weighted parameter sum.
+    """Entangled-state schedule realizing a weighted parameter sum with
+    ``amount`` of a resource, computed from the weights.
 
     For time resources, sensor i participates for tau_i = t |w_i| / max|w|
     (the largest-weight sensor runs the full time t) and negative weights
@@ -114,8 +118,7 @@ class GHZSpec:
 
     weights: tuple
     kind: str
-    durations: tuple = ()
-    mode_counts: tuple = ()
+    amount: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -123,53 +126,42 @@ class GHZSpec:
             raise ValueError("weights must be a finite nonempty vector")
         if np.all(w == 0.0):
             raise ValueError("weights must not all vanish")
-        # relative_phase is phase_scale * (w . theta), up to the photon
-        # counts' rounding, only for schedules proportional to |w|
-        if self.kind == "qubit-time":
-            tau = np.asarray(self.durations, dtype=float)
-            if tau.shape != w.shape or not 0.0 < tau.max() < np.inf:
-                raise ValueError("durations must be finite, one per sensor")
-            if not np.allclose(tau, tau.max() * np.abs(w) / np.abs(w).max(),
-                               atol=0.0):
-                raise ValueError("durations must be proportional to |weights|")
-        elif self.kind == "photon-number":
-            n = np.asarray(self.mode_counts)
-            if n.shape != w.shape or not np.array_equal(
-                    n, photon_mode_counts(w, int(n.sum()))):
-                raise ValueError("mode counts must apportion their total "
-                                 "to |weights|")
-        else:
+        if self.kind not in ("qubit-time", "photon-number"):
             raise ValueError("kind must be 'qubit-time' or 'photon-number'")
+        if not 0 < self.amount < np.inf:
+            raise ValueError("amount must be positive and finite")
+        if self.kind == "photon-number" and int(self.amount) != self.amount:
+            raise ValueError("photon number must be a whole number")
+        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+
+    def _abs_weights(self, kind: str) -> np.ndarray:
+        if self.kind != kind:
+            raise ValueError(f"defined for {kind} specs only")
+        return np.abs(np.asarray(self.weights, dtype=float))
+
+    @property
+    def durations(self) -> tuple:
+        """Per-sensor interaction times t |w_i| / max|w|."""
+        w = self._abs_weights("qubit-time")
+        return tuple(float(x) for x in self.amount * w / w.max())
 
     @property
     def time(self) -> float:
-        if self.kind != "qubit-time":
-            raise ValueError("time is defined for qubit-time specs only")
         return float(np.max(self.durations))
+
+    @property
+    def mode_counts(self) -> tuple:
+        """Per-mode photon counts, ``amount`` apportioned to |w|."""
+        w = self._abs_weights("photon-number")
+        return tuple(int(x) for x in photon_mode_counts(w, self.amount))
 
     @classmethod
     def for_time(cls, weights, time: float) -> "GHZSpec":
-        w = np.asarray(weights, dtype=float)
-        if not np.isfinite(time) or time <= 0:
-            raise ValueError("time must be positive and finite")
-        if np.all(w == 0.0):
-            raise ValueError("weights must not all vanish")
-        tau = time * np.abs(w) / np.abs(w).max()
-        return cls(
-            weights=tuple(float(x) for x in w),
-            kind="qubit-time",
-            durations=tuple(float(x) for x in tau),
-        )
+        return cls(weights, "qubit-time", time)
 
     @classmethod
     def for_photons(cls, weights, photons: int) -> "GHZSpec":
-        w = np.asarray(weights, dtype=float)
-        counts = photon_mode_counts(w, photons)
-        return cls(
-            weights=tuple(float(x) for x in w),
-            kind="photon-number",
-            mode_counts=tuple(int(x) for x in counts),
-        )
+        return cls(weights, "photon-number", photons)
 
 
 def relative_phase(spec: GHZSpec, theta) -> float:
@@ -192,7 +184,7 @@ def phase_scale(spec: GHZSpec) -> float:
     return float(np.sum(spec.mode_counts) / np.sum(w))
 
 
-def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float:
+def parity_fisher_information(spec: GHZSpec, theta) -> float:
     """Per-shot classical Fisher information about q = weights . theta,
     estimated by central-differencing the log-likelihood in q.
 
@@ -202,7 +194,7 @@ def parity_fisher_information(spec: GHZSpec, theta, step: float = 1e-6) -> float
     theta = as_params(theta, len(spec.weights))
     q = float(np.asarray(spec.weights) @ theta)
     c = phase_scale(spec)
-    h = step * max(1.0, abs(q))
+    h = FISHER_STEP * max(1.0, abs(q))
 
     def logp(outcome: int, qq: float) -> float:
         p = 0.5 * (1.0 + outcome * np.cos(c * qq))

@@ -43,6 +43,22 @@ def test_plan_budget_invariants():
                           n1=4, n2=6, mode_counts=(2, 1))
 
 
+def test_plans_must_split_their_budget_exactly():
+    # t2 is the total less t1 to the bit, as every split builds it
+    with pytest.raises(ValueError, match="t2"):
+        al.AllocationPlan(kind="qubit-time", policy="fixed", total=1e4,
+                          t1=100.0, t2=9900.09)
+    al.AllocationPlan(kind="qubit-time", policy="fixed", total=1e4,
+                      t1=100.0, t2=9900.0)
+    # a photon plan runs a step 1, so it carries step-1 counts, none negative
+    with pytest.raises(ValueError, match="n1 > 0"):
+        al.AllocationPlan(kind="photon-number", policy="fixed", total=10,
+                          n1=0, n2=10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        al.AllocationPlan(kind="photon-number", policy="fixed", total=10,
+                          n1=5, n2=5, mode_counts=(6, -1))
+
+
 def test_closed_form_t1_example():
     # product at (1,1): g1 = g2 = 1, so t1 = 2^{1/5} t^{3/5}
     assert al.closed_form_t1(1.0, 1.0, 1e4) == pytest.approx(288.53998118144267)

@@ -307,6 +307,11 @@ def test_flag_parse_errors_exit_2():
          "--time", "1e3", "--trials", "0"],
         ["bounds", "--function", "quadratic:A=1,0;1", "--theta", "0,0",
          "--time", "10"],
+        # flags are matched whole, never as prefixes of a longer flag
+        ["sweep", "--function", "product:d=2", "--theta", "1,1",
+         "--time", "1e3,1e4", "--trials", "200"],
+        ["simulate", "--function", "product:d=2", "--theta", "1,1",
+         "--tim", "1e3", "--trials", "200"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_command(argv)

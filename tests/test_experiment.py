@@ -134,6 +134,19 @@ def test_config_rejects_options_its_protocol_ignores():
                             plan=plan)
 
 
+def test_config_rejects_a_plan_for_another_budget():
+    base = fns.product(2)
+    photons = al.fixed_photon_split(bounds.point_model(base, (1.0, 1.0)), 100, 10)
+    for budget, plan in ((pr.ResourceBudget("qubit-time", 1e4), photons),
+                         (pr.ResourceBudget("photon-number", 200), photons),
+                         (pr.ResourceBudget("qubit-time", 1e4),
+                          al.fixed_time_split(1e3, 30.0))):
+        with pytest.raises(ValueError, match="budget"):
+            ex.ExperimentConfig(base, (1.0, 1.0), budget, plan=plan)
+    ex.ExperimentConfig(base, (1.0, 1.0), pr.ResourceBudget("photon-number", 100),
+                        plan=photons)
+
+
 def test_mse_estimate_validation():
     with pytest.raises(ValueError):
         ex.MSEEstimate(trials=100, mse=-1.0, se=0.1, bias=0.0)
@@ -608,26 +621,25 @@ def test_sweep_grid_validation():
         ex.sweep_resource(cfg, (1e4, 1e3), trials=200, master_seed=1)
 
 
+def records_at(resources, mses):
+    """SweepRecords carrying only the (resource, mse) pairs a fit reads."""
+    return [ex.SweepRecord("two-step", "f", (1.0,), "qubit-time", float(r),
+                           100, float(m), 0.0, 0.0, 0.0, 0.0, 1, 0.0)
+            for r, m in zip(resources, mses)]
+
+
 def test_fit_scaling_exponent_synthetic():
     t = np.array([1e3, 1e4, 1e5, 1e6])
-    slope, se = ex.fit_scaling_exponent(t, 5.0 / t**2)
+    slope, se = ex.fit_scaling_exponent(records_at(t, 5.0 / t**2))
     assert slope == pytest.approx(-2.0, rel=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
-    slope, _ = ex.fit_scaling_exponent(t, 0.3 / t)
+    slope, _ = ex.fit_scaling_exponent(records_at(t, 0.3 / t))
     assert slope == pytest.approx(-1.0, rel=1e-12)
 
-    records = [
-        ex.SweepRecord("two-step", "f", (1.0,), "qubit-time", ti, 100,
-                       5.0 / ti**2, 0.0, 0.0, 0.0, 0.0, 1, 0.0)
-        for ti in t
-    ]
-    slope, _ = ex.fit_scaling_exponent(records)
-    assert slope == pytest.approx(-2.0, rel=1e-12)
-
     with pytest.raises(ValueError, match="3 points"):
-        ex.fit_scaling_exponent(t[:2], 5.0 / t[:2] ** 2)
+        ex.fit_scaling_exponent(records_at(t[:2], 5.0 / t[:2] ** 2))
     with pytest.raises(ValueError, match="positive"):
-        ex.fit_scaling_exponent(t, np.array([1.0, -1.0, 1.0, 1.0]))
+        ex.fit_scaling_exponent(records_at(t, [1.0, -1.0, 1.0, 1.0]))
 
 
 def test_base_metadata():

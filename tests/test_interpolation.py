@@ -109,12 +109,13 @@ def test_solve_rows_bits_do_not_depend_on_layout(transposed):
     n = 37
     jac = (rng.standard_normal((3, 3, n)) + 3.0 * np.eye(3)[:, :, None]).T
     rhs = rng.standard_normal((3, n)).T
+    work = np.empty((ip.SOLVE_WORK_ROWS, n))
     want = ip._solve_rows(np.ascontiguousarray(jac), np.ascontiguousarray(rhs),
-                          transposed).view(np.int64)
+                          transposed, work=work).view(np.int64)
     for args in ((np.ascontiguousarray(jac), np.ascontiguousarray(rhs)),
                  (jac, rhs)):
         for out in (np.empty((n, 3)), np.empty((3, n)).T):
-            got = ip._solve_rows(*args, transposed, out=out)
+            got = ip._solve_rows(*args, transposed, work=work, out=out)
             assert got is out
             assert np.array_equal(got.view(np.int64), want)
 
@@ -218,7 +219,7 @@ def test_batch_rules_report_their_own_faults():
 def invert(readings, layout, start):
     """The sensor-map inversion the induced function runs, for one row."""
     return ip._batch_newton(BEAM, layout, np.asarray(readings)[None, :],
-                            np.asarray(start, dtype=float))[0]
+                            np.asarray(start, dtype=float), fns.Workspace())[0]
 
 
 def test_batch_newton_returns_a_fresh_c_ordered_block_for_any_layout():
@@ -241,7 +242,8 @@ def test_empty_reading_block_gives_empty_results():
     fn, closed = ip.induced_function(BEAM, LAYOUT, TRUE), fns.product(3)
     assert fn.values(empty).shape == closed.values(empty).shape == (0,)
     assert fn.gradients(empty).shape == closed.gradients(empty).shape == (0, 3)
-    assert ip._batch_newton(BEAM, LAYOUT, empty, TRUE).shape == (0, 3)
+    assert ip._batch_newton(BEAM, LAYOUT, empty, TRUE,
+                            fns.Workspace()).shape == (0, 3)
     assert fn.value(READINGS) == pytest.approx(np.exp(-0.02), rel=1e-12)
 
 
@@ -350,7 +352,8 @@ def test_two_parameter_ansatz_matches_its_analytic_inverse():
     # a zero-amplitude start zeroes a Jacobian column: LAPACK's singular pivot
     # is reported as a singular Jacobian, not as a bare LinAlgError
     with pytest.raises(ip.SingularJacobianError):
-        ip._batch_newton(ansatz, layout, readings[None, :], np.array([0.0, 0.5]))
+        ip._batch_newton(ansatz, layout, readings[None, :], np.array([0.0, 0.5]),
+                         fns.Workspace())
 
 
 def test_target_at_sensor_reduces_to_projection():

@@ -73,19 +73,18 @@ def test_ghz_spec_schedules():
         ms.GHZSpec.for_time([1.0, 1.0], 0.0)
 
 
-def test_ghz_spec_rejects_schedules_off_the_weights():
-    # durations not proportional to |w|: the phase at theta = (0.1, 0.3)
-    # reads 0.5, where phase_scale * q = 1 * 0.7
-    with pytest.raises(ValueError, match="proportional"):
-        ms.GHZSpec((1.0, 2.0), "qubit-time", durations=(2.0, 1.0))
-    with pytest.raises(ValueError, match="apportion"):
-        ms.GHZSpec((1.0, 2.0), "photon-number", mode_counts=(7, 1))
-    for durations in ((0.0, 0.0), (1.0, np.inf), (-0.5, 1.0), (1.0,)):
-        with pytest.raises(ValueError):
-            ms.GHZSpec((1.0, 2.0), "qubit-time", durations=durations)
-    for counts in ((0, 0), (-1, 9), (3,)):
-        with pytest.raises(ValueError):
-            ms.GHZSpec((1.0, 3.0), "photon-number", mode_counts=counts)
+def test_ghz_spec_rejects_bad_amounts():
+    # the schedule is computed from the weights, so only the amount can be off
+    for amount in (0.0, -1.0, np.inf, np.nan):
+        for kind in ("qubit-time", "photon-number"):
+            with pytest.raises(ValueError, match="amount"):
+                ms.GHZSpec((1.0, 2.0), kind, amount)
+    with pytest.raises(ValueError, match="whole"):
+        ms.GHZSpec.for_photons((1.0, 2.0), 7.5)
+    with pytest.raises(ValueError, match="qubit-time"):
+        ms.GHZSpec.for_photons((1.0, 2.0), 8).durations
+    with pytest.raises(ValueError, match="photon-number"):
+        ms.GHZSpec.for_time((1.0, 2.0), 8.0).mode_counts
 
 
 def test_ghz_spec_accepts_its_own_schedules():

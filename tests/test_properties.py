@@ -66,10 +66,11 @@ def conditioned_block(seed, n, log_cond, scale):
 def assert_matches_lapack(mats, cond, rhs):
     eps = np.finfo(float).eps
     full = np.broadcast_to(mats, (len(rhs), 3, 3))
+    work = np.empty((ip.SOLVE_WORK_ROWS, len(rhs)))
     for transposed in (False, True):
         want = np.linalg.solve(np.transpose(full, (0, 2, 1)) if transposed
                                else full, rhs[:, :, None])[:, :, 0]
-        got = ip._solve_rows(mats, rhs, transposed)
+        got = ip._solve_rows(mats, rhs, transposed, work=work)
         err = np.linalg.norm(got - want, axis=1)
         assert np.all(err <= 64 * eps * cond * np.linalg.norm(want, axis=1))
 
@@ -96,10 +97,11 @@ def test_one_singular_row_raises_and_never_returns_nan(seed, row, col, fault,
     else:
         # a repeated column leaves rank 2 with a determinant of exactly 0
         mats[row, :, col] = mats[row, :, (col + 1) % 3]
+    work = np.empty((ip.SOLVE_WORK_ROWS, len(rhs)))
     with pytest.raises(ip.SingularJacobianError):
-        ip._solve_rows(mats, rhs, transposed)
+        ip._solve_rows(mats, rhs, transposed, work=work)
     with pytest.raises(ip.SingularJacobianError):
-        ip._solve_rows(mats[row:row + 1], rhs, transposed)
+        ip._solve_rows(mats[row:row + 1], rhs, transposed, work=work)
 
 
 def fd_tolerance(step, order):
