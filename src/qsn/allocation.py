@@ -68,6 +68,14 @@ class AllocationPlan:
         evaluates the gradient at ``protocol.prior_point``."""
         return self.kind == "qubit-time" and self.t1 == 0.0
 
+    def mode_variances(self, dim: int) -> np.ndarray:
+        """Step-1 variances 1/n_i^2 of a photon plan's mode counts, 0 where
+        a mode gets none, for a target of ``dim`` parameters."""
+        if len(self.mode_counts) != dim:
+            raise ValueError(f"plan carries {len(self.mode_counts)} mode "
+                             f"counts, need {dim}")
+        return count_variances(np.asarray(self.mode_counts, dtype=float))
+
 
 def golden_section_min(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimum of a unimodal fn on [lo, hi].
@@ -287,45 +295,6 @@ def fixed_photon_split(model: bounds.PointModel, n_total: int,
                         continuous_pairwise_partition(model.coeffs))
 
 
-def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, float]:
-    """Numeric constrained minimizer of sum a_i / n_i^2 over sum n_i = total.
-
-    Independent oracle for the unentangled photon baseline (whose closed form
-    is n_i proportional to a_i^{1/3}); deliberately solved as a generic
-    constrained problem, not by that closed form. It needs scipy, which is a
-    test dependency only (the ``test`` extra), not a runtime one.
-    """
-    # imported here: scipy is not a runtime dependency, and scipy.optimize
-    # dominates the import time wherever it is installed
-    from scipy.optimize import minimize
-
-    a = np.asarray(weights_sq, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("weights_sq must be finite and nonnegative")
-    if total <= 0:
-        raise ValueError("total must be positive")
-    active = a > 0
-    if not np.any(active):
-        raise ValueError("all weights vanish; the objective is identically 0")
-    m = int(active.sum())
-    x0 = np.full(m, total / m)
-    res = minimize(
-        lambda x: float(np.sum(a[active] / x**2)),
-        x0=x0,
-        jac=lambda x: -2.0 * a[active] / x**3,
-        constraints=[{"type": "eq", "fun": lambda x: x.sum() - total,
-                      "jac": lambda x: np.ones(m)}],
-        bounds=[(1e-9 * total, None)] * m,
-        method="SLSQP",
-        options={"ftol": 1e-16, "maxiter": 1000},
-    )
-    if not res.success and res.status != 8:  # 8: iteration limit with tiny step
-        raise RuntimeError(f"constrained minimizer failed: {res.message}")
-    n = np.zeros(a.shape[0])
-    n[active] = res.x
-    return n, float(np.sum(a[active] / res.x**2))
-
-
 def predicted_mse(model: bounds.PointModel, plan: AllocationPlan) -> float:
     """Model prediction of the two-step MSE under a given plan.
 
@@ -336,5 +305,5 @@ def predicted_mse(model: bounds.PointModel, plan: AllocationPlan) -> float:
     """
     if plan.kind == "qubit-time":
         return model.mse_at(plan.t1, plan.t2)
-    var = count_variances(np.asarray(plan.mode_counts, dtype=float))
+    var = plan.mode_variances(model.dim)
     return model.one_norm_sq / plan.n2**2 + float(var @ model.coeffs @ var)

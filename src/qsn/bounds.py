@@ -35,8 +35,8 @@ the max by a term of order s; acceptance criterion 1's tie-exact references
 and ``test_two_step_tied_gradient_exceeds_fixed_index_prediction`` gate it.
 
 The entangled bounds are the step-2 variances the two-step runner draws,
-and the GHZ oracle certifies them: ``measurement.parity_fisher_information``
-of the schedule for weights w is the inverse of the bound for w . theta.
+and acceptance criterion 4 certifies them on a state-vector simulation of
+the GHZ schedule's parity measurement (``oracles.ghz_phase_gradient``).
 
 All of these read the same few derivatives at one point: ``point_model``
 evaluates them once into a ``PointModel``, and the bounds here, the splits
@@ -50,18 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import AnalyticFunction, EvaluationError, as_params
-
-# Condition-number ceiling for basis Jacobians; beyond this the seminorm is
-# numerically meaningless.
-COND_LIMIT = 1e12
-
-
-class DegenerateGradientError(ValueError):
-    """Raised where a zero gradient makes the requested quantity undefined."""
-
-
-class SingularBasisError(ValueError):
-    """Raised for (numerically) singular basis Jacobians."""
+# re-exported: the splits in ``allocation`` raise it from here
+from .functions import DegenerateGradientError
 
 
 @dataclass(frozen=True)
@@ -208,42 +198,6 @@ def for_budget(model: PointModel, budget) -> BoundReport:
     if budget.kind == "qubit-time":
         return qubit_bounds(model, budget.amount)
     return photon_bounds(model, int(budget.amount))
-
-
-def seminorm_for_basis(jacobian) -> float:
-    """Generator seminorm of the first basis function: sum_i |J^-1_{i, 0}|.
-
-    ``jacobian`` has rows J_{k,i} = d(basis_k)/d(theta_i); row 0 is the
-    function being estimated. The seminorm lower-bounds the achievable
-    1/(MSE t^2) scale and satisfies seminorm >= 1/max_i |J_{0,i}|, with
-    equality when the remaining basis rows are chosen well.
-    """
-    j = np.asarray(jacobian, dtype=float)
-    if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise ValueError("basis Jacobian must be square")
-    if not np.all(np.isfinite(j)):
-        raise ValueError("basis Jacobian must be finite")
-    if np.linalg.cond(j) > COND_LIMIT:
-        raise SingularBasisError("basis Jacobian is singular or near-singular")
-    first_col = np.linalg.solve(j, np.eye(j.shape[0])[:, 0])
-    return float(np.sum(np.abs(first_col)))
-
-
-def coordinate_basis(model: PointModel) -> np.ndarray:
-    """Basis Jacobian achieving the seminorm optimum: row 0 is grad f, the
-    other rows are coordinate directions for every index except j*.
-
-    No protocol path uses it; it is kept as the oracle for the acceptance
-    suite's seminorm check, where ``seminorm_for_basis`` of this basis must
-    meet the 1/max_i |f_i| lower bound with equality.
-    """
-    if model.degenerate:
-        raise DegenerateGradientError("zero gradient admits no optimal basis")
-    rows = [model.gradient]
-    for i in range(model.dim):
-        if i != model.argmax_index:
-            rows.append(np.eye(model.dim)[i])
-    return np.stack(rows)
 
 
 def photon_residual_coefficient(coeffs: np.ndarray, fractions) -> float:

@@ -40,6 +40,10 @@ class EvaluationError(ValueError):
     """A function or derivative rule produced a non-finite value."""
 
 
+class DegenerateGradientError(ValueError):
+    """Raised where a zero gradient makes the requested quantity undefined."""
+
+
 def as_params(theta, dim: int | None = None) -> np.ndarray:
     """Validate and return theta as a float array of shape (d,).
 
@@ -222,24 +226,6 @@ class AnalyticFunction:
         hess = np.diag((fp - 2.0 * f0 + fm) / steps**2)
         hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
         return hess
-
-
-def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
-    """Max abs deviation between a closed-form derivative rule and a central
-    finite-difference estimate built from the value rule alone.
-
-    The stencil never uses the rule under test, so this is an independent
-    check of each family's algebra.
-    """
-    theta = as_params(theta, fn.dim)
-    probe = AnalyticFunction(
-        dim=fn.dim, family="probe", label=fn.label, value_rule=fn.value_rule
-    )
-    if order == 1:
-        return float(np.abs(fn.gradient(theta) - probe.gradient(theta)).max())
-    if order == 2:
-        return float(np.abs(fn.hessian(theta) - probe.hessian(theta)).max())
-    raise ValueError("order must be 1 or 2")
 
 
 # -- built-in families -------------------------------------------------------

@@ -5,9 +5,10 @@ bookkeeping.
 The protocol simulators draw Gaussian step-1 estimates
 (:func:`sample_param_estimates`) and a Gaussian step-2 combination at the
 entangled floor that ``bounds.qubit_bounds`` and ``bounds.photon_bounds``
-report. The GHZ schedule (:class:`GHZSpec`) is the oracle for that floor:
-the Fisher information of its parity signal (:func:`parity_fisher_information`,
-with the phase from :func:`relative_phase`) is the inverse of the bound.
+report. :class:`GHZSpec` is the schedule that reaches that floor:
+acceptance criterion 4 checks, on a state-vector simulation of its parity
+measurement (``oracles.ghz_phase_gradient``), that it measures w . theta
+within its budget at the inverse of the bound.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ MODELING_ASSUMPTIONS = (
 )
 
 _UINT64_MAX = 2**64 - 1
-
-# Relative central-difference step of ``parity_fisher_information``.
-FISHER_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,9 @@ class GHZSpec:
 
         phi = (t / max|w|) * (w . theta).
 
-    For photon resources the weights become mode counts n_i = N w_i / sum w_j
-    rounded by largest remainder, and the phase scale is sum n_i per unit
-    theta in the weighted direction.
+    For photon resources the weights become mode counts n_i = N |w_i| / sum|w|
+    rounded by largest remainder; where those quotas are whole numbers, the
+    two-branch Fock superposition accumulates phi = (N / sum|w|) (w . theta).
     """
 
     weights: tuple
@@ -141,19 +139,15 @@ class GHZSpec:
 
     @property
     def durations(self) -> tuple:
-        """Per-sensor interaction times t |w_i| / max|w|."""
+        """Per-sensor interaction times t (|w_i| / max|w|), at most t."""
         w = self._abs_weights("qubit-time")
-        return tuple(float(x) for x in self.amount * w / w.max())
-
-    @property
-    def time(self) -> float:
-        return float(np.max(self.durations))
+        return tuple(float(x) for x in self.amount * (w / w.max()))
 
     @property
     def mode_counts(self) -> tuple:
         """Per-mode photon counts, ``amount`` apportioned to |w|."""
         w = self._abs_weights("photon-number")
-        return tuple(int(x) for x in photon_mode_counts(w, self.amount))
+        return tuple(int(x) for x in largest_remainder(w, self.amount))
 
     @classmethod
     def for_time(cls, weights, time: float) -> "GHZSpec":
@@ -162,52 +156,6 @@ class GHZSpec:
     @classmethod
     def for_photons(cls, weights, photons: int) -> "GHZSpec":
         return cls(weights, "photon-number", photons)
-
-
-def relative_phase(spec: GHZSpec, theta) -> float:
-    """Accumulated relative phase of the two GHZ branches at theta."""
-    theta = as_params(theta, len(spec.weights))
-    w = np.asarray(spec.weights)
-    if spec.kind == "qubit-time":
-        return float(np.sum(np.sign(w) * np.asarray(spec.durations) * theta))
-    return float(np.sum(np.sign(w) * np.asarray(spec.mode_counts) * theta))
-
-
-def phase_scale(spec: GHZSpec) -> float:
-    """d phi / d q for q = weights . theta: t/max|w| (time) or N/sum|w|-like
-    count scale (photons)."""
-    w = np.abs(np.asarray(spec.weights))
-    if spec.kind == "qubit-time":
-        return float(spec.time / w.max())
-    # phase = sum sign(w_i) n_i theta_i; for n_i proportional to |w_i| this
-    # is (sum n_i / sum |w_i|) * q up to rounding
-    return float(np.sum(spec.mode_counts) / np.sum(w))
-
-
-def parity_fisher_information(spec: GHZSpec, theta) -> float:
-    """Per-shot classical Fisher information about q = weights . theta,
-    estimated by central-differencing the log-likelihood in q.
-
-    Equals (d phi/d q)^2 identically away from phi in pi*Z, where the
-    likelihood degenerates to {0, 1} and the finite difference blows up.
-    """
-    theta = as_params(theta, len(spec.weights))
-    q = float(np.asarray(spec.weights) @ theta)
-    c = phase_scale(spec)
-    h = FISHER_STEP * max(1.0, abs(q))
-
-    def logp(outcome: int, qq: float) -> float:
-        p = 0.5 * (1.0 + outcome * np.cos(c * qq))
-        if p <= 0.0:
-            raise ValueError("likelihood degenerate at this phase; move q")
-        return float(np.log(p))
-
-    info = 0.0
-    for outcome in (1, -1):
-        p = 0.5 * (1.0 + outcome * np.cos(c * q))
-        d = (logp(outcome, q + h) - logp(outcome, q - h)) / (2.0 * h)
-        info += p * d * d
-    return float(info)
 
 
 # -- integer apportionment -----------------------------------------------------
@@ -313,13 +261,6 @@ def _apportion(w: np.ndarray, total: int, space: Workspace) -> np.ndarray:
         rank = np.argsort(np.argsort(rem, axis=-1, kind="stable"), axis=-1)
     return np.add(counts, np.less(rank, leftover[:, None], out=ahead),
                   out=counts)
-
-
-def photon_mode_counts(weights, photons: int) -> np.ndarray:
-    """Integer photon counts per mode, proportional to |weights|."""
-    if photons < 1:
-        raise ValueError("photon number must be positive")
-    return largest_remainder(np.abs(np.asarray(weights, dtype=float)), photons)
 
 
 def count_variances(counts) -> np.ndarray:

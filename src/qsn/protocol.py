@@ -11,10 +11,10 @@ Both draw estimator outcomes directly from the known sampling distributions
 rather than simulating shot records: Gaussian step-1 marginals, and a
 Gaussian step-2 combination at the entangled floor that
 ``bounds.qubit_bounds`` and ``bounds.photon_bounds`` report for the gradient
-at the step-1 estimate. The GHZ schedule's parity Fisher information
-(``measurement.parity_fisher_information``) certifies that floor, so the
-physics is checked once, there, and the Monte Carlo stays cheap enough for
-1e6-trial batteries.
+at the step-1 estimate. Acceptance criterion 4 checks that floor on a
+state-vector simulation of the GHZ schedule (``oracles.ghz_phase_gradient``),
+so the physics is checked once, there, and the Monte Carlo stays cheap
+enough for 1e6-trial batteries.
 """
 
 from __future__ import annotations
@@ -103,18 +103,16 @@ def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
     """
     if plan.kind == "qubit-time":
         return np.full(fn.dim, 1.0 / plan.t1**2)
-    counts = np.asarray(plan.mode_counts, dtype=float)
-    if counts.shape != (fn.dim,):
-        raise ValueError(f"plan carries {counts.size} mode counts, need {fn.dim}")
-    if np.any(counts == 0):
+    var = plan.mode_variances(fn.dim)
+    if np.any(var == 0.0):
         g = fn.gradient(theta_true)
-        bad = (counts == 0) & (g != 0.0)
+        bad = (var == 0.0) & (g != 0.0)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise ValueError(
                 f"no step-1 photons on parameter {i} but the target depends on it"
             )
-    return count_variances(counts)
+    return var
 
 
 def prior_point(dim: int) -> np.ndarray:

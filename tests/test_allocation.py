@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qsn import allocation as al, bounds, functions as fns
+from qsn import allocation as al, bounds, functions as fns, oracles
+from qsn.measurement import RngStream
+from qsn.protocol import run_two_step_batch
 
 
 def random_quadratic(rng, d):
@@ -293,7 +295,7 @@ def test_only_a_zero_t1_time_plan_skips_step1():
 
 
 def test_min_weighted_inverse_square_example():
-    n, obj = al.min_weighted_inverse_square([1.0, 64.0], 100.0)
+    n, obj = oracles.min_weighted_inverse_square([1.0, 64.0], 100.0)
     np.testing.assert_allclose(n, [20.0, 80.0], rtol=1e-6)
     assert obj == pytest.approx(0.0125, rel=1e-8)
     # analytic optimum: n_i proportional to a_i^{1/3}
@@ -301,11 +303,22 @@ def test_min_weighted_inverse_square_example():
     for _ in range(10):
         a = rng.uniform(0.1, 10.0, size=int(rng.integers(2, 6)))
         total = float(rng.uniform(50.0, 500.0))
-        n, obj = al.min_weighted_inverse_square(a, total)
+        n, obj = oracles.min_weighted_inverse_square(a, total)
         w = a ** (1.0 / 3.0)
         expect = total * w / w.sum()
         np.testing.assert_allclose(n, expect, rtol=1e-5)
         assert obj == pytest.approx(float(np.sum(a / expect**2)), rel=1e-8)
+
+
+def test_photon_plan_counts_must_match_the_target():
+    # the prediction and the runner read a plan's counts through one check
+    model = bounds.point_model(fns.product(2), [1.0, 1.0])
+    plan = al.AllocationPlan(kind="photon-number", policy="fixed:5",
+                             total=10.0, n1=5, n2=5, mode_counts=(5,))
+    with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):
+        al.predicted_mse(model, plan)
+    with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):
+        run_two_step_batch(fns.product(2), [1.0, 1.0], plan, RngStream(3), 10)
 
 
 def test_predicted_mse_time_plan():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsn import allocation as al, bounds, functions as fns
-from qsn import experiment as ex, interpolation as ip
+from qsn import experiment as ex, interpolation as ip, oracles
 
 
 def test_product_derivatives_at_ones():
@@ -36,12 +36,12 @@ def test_quadratic_value_gradient_hessian():
 
 
 def test_finite_diff_validate_examples():
-    assert fns.finite_diff_validate(fns.product(2), [1.0, 1.0], 1) < 1e-8
+    assert oracles.finite_diff_validate(fns.product(2), [1.0, 1.0], 1) < 1e-8
     # second differences of a linear map vanish to rounding, which sits at
     # eps*|f|/h^2: below 1e-8 near the origin, below 1e-6 at generic points
-    assert fns.finite_diff_validate(fns.linear([3.0, 4.0]), [0.0, 0.0], 2) < 1e-8
-    assert fns.finite_diff_validate(fns.linear([3.0, 4.0]), [0.3, 0.1], 2) < 1e-6
-    assert fns.finite_diff_validate(fns.quadratic([[1.0]]), [2.0], 2) < 1e-6
+    assert oracles.finite_diff_validate(fns.linear([3.0, 4.0]), [0.0, 0.0], 2) < 1e-8
+    assert oracles.finite_diff_validate(fns.linear([3.0, 4.0]), [0.3, 0.1], 2) < 1e-6
+    assert oracles.finite_diff_validate(fns.quadratic([[1.0]]), [2.0], 2) < 1e-6
 
 
 def test_builtin_families_match_finite_differences_random_points():
@@ -56,8 +56,8 @@ def test_builtin_families_match_finite_differences_random_points():
         for _ in range(100):
             th = rng.uniform(-2.0, 2.0, size=f.dim)
             scale = max(1.0, float(np.max(np.abs(f.gradient(th)))))
-            assert fns.finite_diff_validate(f, th, 1) < 1e-6 * scale
-            assert fns.finite_diff_validate(f, th, 2) < 1e-4 * max(
+            assert oracles.finite_diff_validate(f, th, 1) < 1e-6 * scale
+            assert oracles.finite_diff_validate(f, th, 2) < 1e-4 * max(
                 1.0, float(np.max(np.abs(f.hessian(th))))
             )
 
@@ -253,8 +253,8 @@ def test_from_rules_roundtrip():
         third_diag_rule=lambda th, j: np.array([6.0]),
     )
     assert f.family == "custom"
-    assert fns.finite_diff_validate(f, [0.7], 1) < 1e-9
-    assert fns.finite_diff_validate(f, [0.7], 2) < 1e-6
+    assert oracles.finite_diff_validate(f, [0.7], 1) < 1e-9
+    assert oracles.finite_diff_validate(f, [0.7], 2) < 1e-6
     assert np.array_equal(f.third_diag_slice([0.7], 0), [6.0])
     # the rule agrees with differencing the exact gradient
     fd = fns.from_rules(1, "cubic", f.value_rule, f.grad_rule, f.hess_rule)

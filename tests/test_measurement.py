@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsn import bounds, measurement as ms
+from qsn import bounds, measurement as ms, oracles
 from qsn.allocation import fixed_time_split
 from qsn.functions import linear
 from qsn.protocol import run_two_step_batch
@@ -59,10 +59,21 @@ def entangled_floor(weights, time=None, photons=None):
     return bounds.photon_bounds(model, photons).entangled_bound
 
 
+def schedule_reading(spec, theta):
+    """(1 - |cos| of the angle between the GHZ oracle's phase gradient v and
+    the weights w, and (|v|/|w|)^2, the Fisher information about w . theta)
+    of a schedule, at theta."""
+    w = np.asarray(spec.weights)
+    rates = spec.durations if spec.kind == "qubit-time" else spec.mode_counts
+    v = oracles.ghz_phase_gradient(rates, np.sign(w), theta)
+    cos = abs(v @ w) / (np.linalg.norm(v) * np.linalg.norm(w))
+    return 1.0 - cos, float(v @ v / (w @ w))
+
+
 def test_ghz_spec_schedules():
     spec = ms.GHZSpec.for_time([3.0, -4.0], 2.0)
     np.testing.assert_allclose(spec.durations, [1.5, 2.0])
-    assert spec.time == pytest.approx(2.0)
+    assert max(spec.durations) == 2.0
 
     spec = ms.GHZSpec.for_photons([1.0, 3.0], 8)
     assert spec.mode_counts == (2, 6)
@@ -96,31 +107,20 @@ def test_ghz_spec_accepts_its_own_schedules():
         w[rng.random(d) < 0.2] = 0.0
         if np.all(w == 0.0):
             w[0] = 1.0
-        theta = rng.uniform(-1.0, 1.0, size=d)
-        spec = ms.GHZSpec.for_time(w, float(rng.uniform(0.01, 1e4)))
-        assert ms.relative_phase(spec, theta) == pytest.approx(
-            ms.phase_scale(spec) * (w @ theta), rel=1e-9, abs=1e-9)
-        ms.GHZSpec.for_photons(w, int(rng.integers(1, 10**5)))
-
-
-def test_relative_phase_matches_scale_times_q():
-    spec = ms.GHZSpec.for_time([1.0, -1.0], 2.0)
-    th = [0.3, 0.2]
-    q = 1.0 * 0.3 - 1.0 * 0.2
-    assert ms.relative_phase(spec, th) == pytest.approx(ms.phase_scale(spec) * q)
-    assert ms.phase_scale(spec) == pytest.approx(2.0)
-
-    # exact-proportionality photon split keeps the identity exact
-    spec = ms.GHZSpec.for_photons([1.0, 3.0], 8)
-    th = [0.05, -0.1]
-    q = 0.05 - 0.3
-    assert ms.relative_phase(spec, th) == pytest.approx(ms.phase_scale(spec) * q)
-    assert ms.phase_scale(spec) == pytest.approx(2.0)
+        time = float(rng.uniform(0.01, 1e4))
+        durations = np.asarray(ms.GHZSpec.for_time(w, time).durations)
+        # the largest weight runs the whole time, the others in proportion
+        assert durations.max() == time
+        np.testing.assert_allclose(durations, time * np.abs(w) / np.abs(w).max())
+        photons = int(rng.integers(1, 10**5))
+        counts = np.asarray(ms.GHZSpec.for_photons(w, photons).mode_counts)
+        assert counts.sum() == photons and np.all(counts[w == 0.0] == 0)
 
 
 def test_parity_fisher_information_example():
     spec = ms.GHZSpec.for_time([3.0, 4.0], 2.0)
-    info = ms.parity_fisher_information(spec, [0.05, 0.02])
+    direction, info = schedule_reading(spec, [0.05, 0.02])
+    assert direction < 1e-12
     assert info == pytest.approx(0.25, rel=1e-6)
     # the inverse of the entangled bound reported for 3 x1 + 4 x2
     var = entangled_floor([3.0, 4.0], time=2.0)
@@ -128,7 +128,7 @@ def test_parity_fisher_information_example():
 
 
 def test_parity_fisher_information_random_and_phase_free():
-    # FI = (t/max|alpha|)^2 independent of theta, 1e-6 relative
+    # FI = (t/max|alpha|)^2 at every theta, 1e-6 relative
     rng = np.random.default_rng(43)
     done = 0
     while done < 20:
@@ -138,13 +138,12 @@ def test_parity_fisher_information_random_and_phase_free():
             continue
         theta = rng.uniform(-0.5, 0.5, size=d)
         t = float(rng.uniform(0.5, 3.0))
-        spec = ms.GHZSpec.for_time(alpha, t)
-        phi = ms.relative_phase(spec, theta)
-        if abs(np.cos(phi)) > 0.95:
+        # stay off phases where the parity outcome is nearly certain
+        if abs(np.cos(t / np.max(np.abs(alpha)) * (alpha @ theta))) > 0.95:
             continue
-        expected = (t / np.max(np.abs(alpha))) ** 2
-        info = ms.parity_fisher_information(spec, theta)
-        assert info == pytest.approx(expected, rel=1e-6)
+        direction, info = schedule_reading(ms.GHZSpec.for_time(alpha, t), theta)
+        assert direction < 1e-12
+        assert info == pytest.approx((t / np.max(np.abs(alpha))) ** 2, rel=1e-6)
         done += 1
 
 
@@ -173,29 +172,31 @@ def test_lincomb_estimate_statistics():
     ((0.5, 0.5, -1.0, 2.0), 40, 100.0),
 ])
 def test_photon_schedule_reaches_the_lincomb_floor(weights, photons, info):
-    # where N |w| / |w|_1 is a whole vector the mode counts are exact, and
-    # the GHZ schedule's Fisher information is the inverse of the photon
-    # bound reported for w . theta, the floor step 2 is drawn at
+    # where N |w| / |w|_1 is a whole vector the mode counts are exact: the
+    # two-branch Fock state with those counts measures w . theta, and its
+    # Fisher information is the inverse of the photon bound reported for
+    # w . theta, the floor step 2 is drawn at
     spec = ms.GHZSpec.for_photons(weights, photons)
     theta = np.linspace(0.1, 0.4, len(weights))
     floor = entangled_floor(weights, photons=photons)
     assert 1.0 / floor == pytest.approx(info)
-    assert ms.parity_fisher_information(spec, theta) == pytest.approx(
-        1.0 / floor, rel=1e-6)
+    direction, fisher = schedule_reading(spec, theta)
+    assert direction < 1e-12
+    assert fisher == pytest.approx(1.0 / floor, rel=1e-6)
 
 
 def test_largest_remainder_examples():
     np.testing.assert_array_equal(ms.largest_remainder([1.0, 3.0], 8), [2, 6])
     np.testing.assert_array_equal(ms.largest_remainder([1.0, 1.0, 1.0], 10), [4, 3, 3])
-    np.testing.assert_array_equal(ms.photon_mode_counts([1.0, 0.0], 5), [5, 0])
-    np.testing.assert_array_equal(ms.photon_mode_counts([-1.0, 3.0], 8), [2, 6])
+    assert ms.GHZSpec.for_photons([1.0, 0.0], 5).mode_counts == (5, 0)
+    assert ms.GHZSpec.for_photons([-1.0, 3.0], 8).mode_counts == (2, 6)
     np.testing.assert_array_equal(ms.largest_remainder([0.0, 0.0], 0), [0, 0])
     with pytest.raises(ValueError):
         ms.largest_remainder([0.0, 0.0], 3)
     with pytest.raises(ValueError):
         ms.largest_remainder([-1.0, 2.0], 3)
     with pytest.raises(ValueError):
-        ms.photon_mode_counts([1.0, 1.0], 0)
+        ms.GHZSpec.for_photons([1.0, 1.0], 0)
 
 
 def test_largest_remainder_battery():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qsn import allocation as al, bounds, functions as fns, interpolation as ip
+from qsn import oracles
 from qsn.cli import run_command
 from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, sweep_resource
 from qsn.measurement import largest_remainder
@@ -356,7 +357,7 @@ def test_zero_and_tied_gradients_on_the_model(family, theta):
             with pytest.raises(bounds.DegenerateGradientError):
                 split(model)
         with pytest.raises(bounds.DegenerateGradientError):
-            bounds.coordinate_basis(model)
+            oracles.coordinate_basis(model.gradient)
     else:
         # ties go to the lowest index
         assert model.argmax_index == int(np.flatnonzero(g == g.max())[0])
