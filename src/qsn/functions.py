@@ -2,16 +2,15 @@
 two-step error expansion needs.
 
 Every estimation target in this package is an :class:`AnalyticFunction`: a
-scalar function of a parameter vector theta in R^d together with whatever
-closed-form derivative rules it has. Past the Hessian the expansion reads
-only the diagonal third-derivative slice f_{j,i,i}, so that slice is all the
-third-order information offered. Built-in families (linear, product,
-quadratic) carry exact rules for all of it; a missing rule falls back to
-central finite differences of the best lower-order rule, with per-order step
-sizes. The Hessian and third-slice fallbacks evaluate their whole stencil in
-one batched call. The gradient fallback makes two ``values`` calls per
-parameter instead, over the batch shifted up and down: one stencil block of
-a d = 32 batch of 8,192 rows would take 128 MiB.
+scalar function of a parameter vector theta in R^d together with its exact
+gradient and whatever higher closed-form derivative rules it has. Past the
+Hessian the expansion reads only the diagonal third-derivative slice
+f_{j,i,i}, so that slice is all the third-order information offered.
+Built-in families (linear, product, quadratic) carry exact rules for all of
+it; a missing Hessian or third-slice rule falls back to central differences
+of the exact gradient, the whole stencil in one batched ``gradients`` call.
+Value-only finite-difference stencils, which check these rules, live in
+``qsn.oracles``.
 
 Conventions. Points are 1-D arrays of shape (d,), batches are (n, d) with the
 parameter axis last; a point is evaluated as a batch of one.
@@ -26,14 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-# Relative central-difference steps per derivative order. Scaled by
-# max(1, |theta_i|) componentwise, so small coordinates do not starve the
-# stencil.
-GRAD_STEP = 1e-5
+# Relative central-difference step of the Hessian and third-slice stencils
+# on the exact gradient. Scaled by max(1, |theta_i|) componentwise, so small
+# coordinates do not starve the stencil.
 HESS_STEP = 1e-4
-# A value-only third slice divides by h^3: rounding (~eps/h^3) and
-# truncation (~h^2) balance near this step.
-THIRD_STEP = 1e-3
 
 
 class EvaluationError(ValueError):
@@ -63,19 +58,20 @@ def as_params(theta, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """A scalar function of d parameters with optional closed-form derivatives.
+    """A scalar function of d parameters with its exact gradient and
+    optional higher closed-form derivatives.
 
     ``value_rule`` maps an (n, d) block to (n,) values, ``grad_batch_rule``
     to (n, d) gradients, and a point is evaluated as a batch of one.
     ``grad_rule`` adapts a gradient rule written for one (d,) point; it is
-    called row by row when no batch rule is set. ``hess_rule`` and
-    ``third_diag_rule(theta, j)`` take one (d,) point; the latter returns
-    the slice f_{j,i,i} (i = 0..d-1), the only third derivatives
-    the two-step expansion reads. Missing rules are replaced by central
-    finite differences of the best available lower-order rule: one batched
-    ``gradients`` call on the stencil when there is a gradient rule, one
-    batched ``values`` call otherwise. Where a row's bits depend on its
-    batch (the induced function's Newton inversion), so do these.
+    called row by row when no batch rule is set. One of the two gradient
+    rules is required: construction without either raises ValueError.
+    ``hess_rule`` and ``third_diag_rule(theta, j)`` take one (d,) point; the
+    latter returns the slice f_{j,i,i} (i = 0..d-1), the only third
+    derivatives the two-step expansion reads. A missing Hessian or slice
+    rule is replaced by central differences of the exact gradient, one
+    batched ``gradients`` call on the stencil. Where a row's bits depend on
+    its batch (the induced function's Newton inversion), so do these.
     """
 
     dim: int
@@ -91,9 +87,9 @@ class AnalyticFunction:
         default=None, repr=False
     )
 
-    @property
-    def gradient_exact(self) -> bool:
-        return self.grad_batch_rule is not None or self.grad_rule is not None
+    def __post_init__(self):
+        if self.grad_batch_rule is None and self.grad_rule is None:
+            raise ValueError(f"{self.label} needs an exact gradient rule")
 
     # -- point evaluation ---------------------------------------------------
 
@@ -119,7 +115,10 @@ class AnalyticFunction:
         if self.hess_rule is not None:
             h = np.asarray(self.hess_rule(theta), dtype=float)
         else:
-            h = self._fd_hessian(theta)
+            steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
+            shifts = np.diag(steps)
+            g = self.gradients(np.concatenate([theta + shifts, theta - shifts]))
+            h = (g[: self.dim] - g[self.dim :]) / (2.0 * steps[:, None])
         if not np.all(np.isfinite(h)):
             raise EvaluationError(f"non-finite hessian of {self.label}")
         return 0.5 * (h + h.T)
@@ -129,18 +128,14 @@ class AnalyticFunction:
 
         This is the only third-order information the two-step error expansion
         needs. The built-in families answer it from ``third_diag_rule`` in
-        O(d) in any dimension. Without it, an exact gradient is second
-        differenced, 2d + 1 points in one batched ``gradients`` call; a bare
-        value rule gets a central difference in theta_j of second differences
-        in theta_i, 4d + 2 points in one batched ``values`` call.
+        O(d) in any dimension. Without it, the exact gradient is second
+        differenced, 2d + 1 points in one batched ``gradients`` call.
         """
         theta = as_params(theta, self.dim)
         if not 0 <= j < self.dim:
             raise ValueError(f"index {j} out of range for d={self.dim}")
         if self.third_diag_rule is not None:
             out = np.asarray(self.third_diag_rule(theta, j), dtype=float)
-        elif not self.gradient_exact:
-            out = self._fd_third_diag(theta, j)
         else:
             steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
             shifts = np.diag(steps)
@@ -167,65 +162,13 @@ class AnalyticFunction:
         points = self._as_batch(points)
         if self.grad_batch_rule is not None:
             return np.asarray(self.grad_batch_rule(points), dtype=float)
-        if self.grad_rule is not None:
-            return np.stack([np.asarray(self.grad_rule(p), float) for p in points])
-        return self._fd_gradients(points)
+        return np.stack([np.asarray(self.grad_rule(p), float) for p in points])
 
     def _as_batch(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"batch must have shape (n, {self.dim})")
         return points
-
-    # -- finite-difference fallbacks -----------------------------------------
-
-    def _fd_third_diag(self, theta: np.ndarray, j: int) -> np.ndarray:
-        # offsets +-h_j e_j +- h_i e_i, then +-h_j e_j; at i = j they are
-        # exactly +-2h_j and 0, giving the usual four-point f_jjj stencil
-        steps = THIRD_STEP * np.maximum(1.0, np.abs(theta))
-        ej = np.zeros(self.dim)
-        ej[j] = steps[j]
-        ei = np.diag(steps)
-        offsets = np.concatenate([ej + ei, ej - ei, -ej + ei, -ej - ei,
-                                  [ej, -ej]])
-        vals = self.values(theta + offsets)
-        pp, pm, mp, mm = vals[:-2].reshape(4, self.dim)
-        fp, fm = vals[-2:]
-        second_p = pp - 2.0 * fp + pm
-        second_m = mp - 2.0 * fm + mm
-        return (second_p - second_m) / (2.0 * steps[j] * steps**2)
-
-    def _fd_gradients(self, points: np.ndarray) -> np.ndarray:
-        n, d = points.shape
-        steps = GRAD_STEP * np.maximum(1.0, np.abs(points))  # (n, d)
-        grads = np.empty((n, d))
-        for i in range(d):
-            plus = points.copy()
-            minus = points.copy()
-            plus[:, i] += steps[:, i]
-            minus[:, i] -= steps[:, i]
-            grads[:, i] = (self.values(plus) - self.values(minus)) / (2.0 * steps[:, i])
-        return grads
-
-    def _fd_hessian(self, theta: np.ndarray) -> np.ndarray:
-        d = self.dim
-        steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
-        shifts = np.diag(steps)
-        if self.gradient_exact:
-            # differentiating the exact gradient is one order more accurate
-            g = self.gradients(np.concatenate([theta + shifts, theta - shifts]))
-            return (g[:d] - g[d:]) / (2.0 * steps[:, None])
-        # the centre, +-h_i e_i, then +-h_i e_i +- h_j e_j for each i < j
-        i, j = np.triu_indices(d, 1)
-        ei, ej = shifts[i], shifts[j]
-        vals = self.values(theta + np.concatenate(
-            [np.zeros((1, d)), shifts, -shifts, ei + ej, ei - ej, -ei + ej, -ei - ej]
-        ))
-        f0, fp, fm = vals[0], vals[1 : d + 1], vals[d + 1 : 2 * d + 1]
-        pp, pm, mp, mm = vals[2 * d + 1 :].reshape(4, -1)
-        hess = np.diag((fp - 2.0 * f0 + fm) / steps**2)
-        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
-        return hess
 
 
 # -- built-in families -------------------------------------------------------
@@ -417,14 +360,6 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
     )
 
 
-def composite(value_rule, dim: int, label: str = "composite") -> AnalyticFunction:
-    """Wrap a bare value rule of (n, d) blocks; every derivative comes from
-    finite differences and reports flag as approximate."""
-    return AnalyticFunction(
-        dim=dim, family="composite", label=label, value_rule=value_rule
-    )
-
-
 def from_rules(
     dim: int,
     label: str,
@@ -435,8 +370,10 @@ def from_rules(
     grad_batch_rule=None,
 ) -> AnalyticFunction:
     """Custom function with explicit closed-form derivative rules, as in
-    :class:`AnalyticFunction`; ``grad_rule`` may be None when
-    ``grad_batch_rule`` is given."""
+    :class:`AnalyticFunction`: ``grad_rule`` may be None when
+    ``grad_batch_rule`` is given, but not both; ``hess_rule`` and
+    ``third_diag_rule`` may be None, and are then differenced from the
+    gradient."""
     return AnalyticFunction(
         dim=dim,
         family="custom",

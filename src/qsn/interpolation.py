@@ -50,24 +50,22 @@ class Ansatz:
 
     ``field_rule(c, x)`` maps one parameter vector and an array of locations
     to field values; ``jacobian_rule(c, x)`` returns dF/dc stacked over the
-    locations, shape (len(x), param_dim). The optional batch rules take a
+    locations, shape (len(x), param_dim). The required batch rules take a
     (n, param_dim) block of parameter vectors at once and return shapes
-    (n, len(x)) and (n, len(x), param_dim); without them the batch entry
-    points fall back to row loops. A batch rule may return any strided view
-    of its shape (the Gaussian beam returns transposed location-major
-    blocks), and its parameter block may itself be such a view.
+    (n, len(x)) and (n, len(x), param_dim); the Newton inversion runs on
+    them alone. A batch rule may return any strided view of its shape (the
+    Gaussian beam returns transposed location-major blocks), and its
+    parameter block may itself be such a view.
     """
 
     param_dim: int
     label: str
     field_rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian_rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    field_batch_rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    jacobian_batch_rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
+    field_batch_rule: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        repr=False)
+    jacobian_batch_rule: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        repr=False)
 
     # a point rule runs without numpy warnings: non-finite output raises
     def field(self, params, x) -> np.ndarray:
@@ -95,8 +93,6 @@ class Ansatz:
 
     def field_batch(self, param_block: np.ndarray, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.field_batch_rule is None:
-            return np.stack([self.field(c, x) for c in param_block])
         out = self._checked("field_batch_rule", param_block, x, (x.size,))
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"non-finite field value of {self.label}")
@@ -104,8 +100,6 @@ class Ansatz:
 
     def jacobian_batch(self, param_block: np.ndarray, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.jacobian_batch_rule is None:
-            return np.stack([self.jacobian(c, x) for c in param_block])
         return self._checked("jacobian_batch_rule", param_block, x,
                              (x.size, self.param_dim))
 

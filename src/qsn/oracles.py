@@ -2,7 +2,10 @@
 
 Nothing in ``qsn`` imports this module, and it imports only numpy, scipy
 (inside the one oracle that needs it) and ``qsn.functions``, so no oracle
-can reuse a helper it judges; a test enforces both rules.
+can reuse a helper it judges; a test enforces both rules, and that no
+oracle builds an ``AnalyticFunction`` or calls a private name of
+``qsn.functions``. The value-only finite-difference stencils here read a
+bare value rule, never a derivative rule.
 """
 
 from __future__ import annotations
@@ -10,6 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import AnalyticFunction, DegenerateGradientError, as_params
+
+# Relative central-difference steps of the value-only stencils, per
+# derivative order. Scaled by max(1, |theta_i|) componentwise, so small
+# coordinates do not starve the stencil.
+GRAD_STEP = 1e-5
+HESS_STEP = 1e-4
+# A third slice divides by h^3: rounding (~eps/h^3) and truncation (~h^2)
+# balance near this step.
+THIRD_STEP = 1e-3
 
 # Condition-number ceiling for basis Jacobians; beyond this the seminorm is
 # numerically meaningless.
@@ -149,19 +161,74 @@ def min_weighted_inverse_square(weights_sq, total: float) -> tuple[np.ndarray, f
     return n, float(np.sum(a[active] / res.x**2))
 
 
-def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
-    """Max abs deviation between a closed-form derivative rule and a central
-    finite-difference estimate built from the value rule alone.
+def fd_gradient(value_rule, theta) -> np.ndarray:
+    """Central-difference gradient of a value rule of (n, d) blocks at one
+    point, its 2d stencil rows in one call."""
+    theta = as_params(theta)
+    d = theta.shape[0]
+    steps = GRAD_STEP * np.maximum(1.0, np.abs(theta))
+    shifts = np.diag(steps)
+    vals = np.asarray(value_rule(theta + np.concatenate([shifts, -shifts])), float)
+    return (vals[:d] - vals[d:]) / (2.0 * steps)
 
-    The stencil never uses the rule under test, so this is an independent
-    check of each family's algebra.
+
+def fd_hessian(value_rule, theta) -> np.ndarray:
+    """Central-difference Hessian of a value rule at one point, its
+    1 + 2d + 2d(d - 1) stencil rows in one call."""
+    theta = as_params(theta)
+    d = theta.shape[0]
+    steps = HESS_STEP * np.maximum(1.0, np.abs(theta))
+    shifts = np.diag(steps)
+    # the centre, +-h_i e_i, then +-h_i e_i +- h_j e_j for each i < j
+    i, j = np.triu_indices(d, 1)
+    ei, ej = shifts[i], shifts[j]
+    vals = np.asarray(value_rule(theta + np.concatenate(
+        [np.zeros((1, d)), shifts, -shifts, ei + ej, ei - ej, -ei + ej, -ei - ej]
+    )), float)
+    f0, fp, fm = vals[0], vals[1 : d + 1], vals[d + 1 : 2 * d + 1]
+    pp, pm, mp, mm = vals[2 * d + 1 :].reshape(4, -1)
+    hess = np.diag((fp - 2.0 * f0 + fm) / steps**2)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
+    return hess
+
+
+def fd_third_slice(value_rule, theta, j: int) -> np.ndarray:
+    """Central-difference third derivatives f_{j,i,i} (i = 0..d-1) of a
+    value rule at one point: a difference in theta_j of second differences
+    in theta_i, its 4d + 2 stencil rows in one call."""
+    theta = as_params(theta)
+    # offsets +-h_j e_j +- h_i e_i, then +-h_j e_j; at i = j they are
+    # exactly +-2h_j and 0, giving the usual four-point f_jjj stencil
+    steps = THIRD_STEP * np.maximum(1.0, np.abs(theta))
+    ej = np.zeros(theta.shape[0])
+    ej[j] = steps[j]
+    ei = np.diag(steps)
+    offsets = np.concatenate([ej + ei, ej - ei, -ej + ei, -ej - ei, [ej, -ej]])
+    vals = np.asarray(value_rule(theta + offsets), float)
+    pp, pm, mp, mm = vals[:-2].reshape(4, -1)
+    fp, fm = vals[-2:]
+    second_p = pp - 2.0 * fp + pm
+    second_m = mp - 2.0 * fm + mm
+    return (second_p - second_m) / (2.0 * steps[j] * steps**2)
+
+
+def finite_diff_validate(fn: AnalyticFunction, theta, order: int) -> float:
+    """Max abs deviation between ``fn``'s derivatives of one order and the
+    value-only stencils above, which read ``fn.value_rule`` alone.
+
+    Order 1 checks the gradient, order 2 the Hessian (the stencil's
+    symmetrized as ``hessian`` symmetrizes), order 3 every third slice
+    f_{j,i,i}. The stencils never use the rule under test, so this is an
+    independent check of each family's algebra.
     """
-    theta = as_params(theta, fn.dim)
-    probe = AnalyticFunction(
-        dim=fn.dim, family="probe", label=fn.label, value_rule=fn.value_rule
-    )
+    theta, rule = as_params(theta, fn.dim), fn.value_rule
     if order == 1:
-        return float(np.abs(fn.gradient(theta) - probe.gradient(theta)).max())
+        return float(np.abs(fn.gradient(theta) - fd_gradient(rule, theta)).max())
     if order == 2:
-        return float(np.abs(fn.hessian(theta) - probe.hessian(theta)).max())
-    raise ValueError("order must be 1 or 2")
+        h = fd_hessian(rule, theta)
+        return float(np.abs(fn.hessian(theta) - 0.5 * (h + h.T)).max())
+    if order == 3:
+        return max(float(np.abs(fn.third_diag_slice(theta, j)
+                                - fd_third_slice(rule, theta, j)).max())
+                   for j in range(fn.dim))
+    raise ValueError("order must be 1, 2 or 3")

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qsn import bounds, functions as fns, interpolation as ip
+from qsn import bounds, functions as fns, interpolation as ip, oracles
 from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, fom_battery
 from qsn.protocol import ResourceBudget
 
@@ -126,18 +126,31 @@ def point_target(family: str, d: int):
     rng = np.random.default_rng(100 + d)
     if family == "linear":
         return fns.linear(rng.uniform(-2.0, 2.0, d))
-    if family == "composite":
-        return fns.composite(
-            lambda th: np.sin(th).sum(axis=-1) + th[..., 0] * th[..., -1], d)
     return target(family, d)[0]
 
 
+def composite_value(th):
+    """A bare value rule, differentiated by the oracle's value-only
+    stencils alone."""
+    return np.sin(th).sum(axis=-1) + th[..., 0] * th[..., -1]
+
+
 def point_evaluations(family: str, d: int) -> list:
-    """value, gradient, hessian and every third slice at two points."""
-    fn = point_target(family, d)
+    """value, gradient, hessian and every third slice at two points; the
+    composite family's come from the oracle stencils, the Hessian
+    symmetrized as ``AnalyticFunction.hessian`` symmetrizes."""
+    fn = None if family == "composite" else point_target(family, d)
     out = []
     for theta in (0.8 + 0.05 * np.arange(d),
                   np.random.default_rng(d).uniform(-1.5, 1.5, d)):
+        if fn is None:
+            hess = oracles.fd_hessian(composite_value, theta)
+            out += [float(composite_value(theta[None])[0]),
+                    oracles.fd_gradient(composite_value, theta),
+                    0.5 * (hess + hess.T)]
+            out += [oracles.fd_third_slice(composite_value, theta, j)
+                    for j in range(d)]
+            continue
         out += [fn.value(theta), fn.gradient(theta), fn.hessian(theta)]
         out += [fn.third_diag_slice(theta, j) for j in range(d)]
     return out

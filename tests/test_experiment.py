@@ -108,15 +108,20 @@ SE_REPLICATES = 200
 SE_RATIO_GATE = (0.75, 1.3)
 
 
-@pytest.mark.parametrize("kind, amount, protocol", [
-    ("qubit-time", 1e3, "two-step"), ("photon-number", 1000, "two-step"),
-    ("qubit-time", 1e3, "unentangled")])
-def test_reported_se_matches_the_replicate_spread(kind, amount, protocol):
+@pytest.mark.parametrize("kind, amount, protocol, pilot_fraction", [
+    ("qubit-time", 1e3, "two-step", None), ("photon-number", 1000, "two-step", None),
+    ("qubit-time", 1e3, "unentangled", None),
+    ("photon-number", 1000, "unentangled", 0.1)], ids=[
+    "qubit-time-1000.0-two-step", "photon-number-1000-two-step",
+    "qubit-time-1000.0-unentangled", "photon-number-1000-unentangled-pilot"])
+def test_reported_se_matches_the_replicate_spread(kind, amount, protocol,
+                                                   pilot_fraction):
     # replicate k draws chunk c from stream k * 2**20 + c; for k >= 1 these
     # meet neither each other nor the streams 0 .. 2**20 - 1 that stream
     # index 0's chunks share with other callers
     cfg = ex.ExperimentConfig(fns.product(2), (1.0, 1.0),
-                              pr.ResourceBudget(kind, amount), protocol=protocol)
+                              pr.ResourceBudget(kind, amount), protocol=protocol,
+                              pilot_fraction=pilot_fraction)
     if protocol == "two-step":
         cfg = dataclasses.replace(cfg, plan=cfg.resolved_plan())
     runs = [ex.estimate_mse(cfg, 20_000, 7, stream_index=k)
@@ -137,8 +142,8 @@ def test_all_degenerate_runs_rejected():
         ex.estimate_mse(cfg, 200, master_seed=1)
 
     # a constant target degenerates every trial even with step-1 noise
-    const = fns.composite(
-        lambda th: np.full(np.asarray(th).shape[:-1], 3.0), 2, label="const")
+    const = fns.from_rules(2, "const", lambda th: np.full(len(th), 3.0), None,
+                           None, grad_batch_rule=np.zeros_like)
     cfg = ex.ExperimentConfig(
         function=const,
         theta=(0.2, -0.1),

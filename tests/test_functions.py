@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,31 @@ def test_finite_diff_validate_examples():
     assert oracles.finite_diff_validate(fns.linear([3.0, 4.0]), [0.0, 0.0], 2) < 1e-8
     assert oracles.finite_diff_validate(fns.linear([3.0, 4.0]), [0.3, 0.1], 2) < 1e-6
     assert oracles.finite_diff_validate(fns.quadratic([[1.0]]), [2.0], 2) < 1e-6
+    assert oracles.finite_diff_validate(fns.quadratic([[1.0]]), [2.0], 3) < 1e-6
+    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+        oracles.finite_diff_validate(fns.product(2), [1.0, 1.0], 4)
+
+
+def test_finite_diff_validate_order_3_matches_exact_third_slices(monkeypatch):
+    # value stencils over h^3 = 1e-9 round at about eps |f| / h^3 < 1e-5
+    # here; the cubic's exact slices are nonzero, the families' vanish
+    built = []
+    monkeypatch.setattr(fns.AnalyticFunction, "__post_init__",
+                        lambda self: built.append(self.label))
+    rng = np.random.default_rng(13)
+    families = [fns.linear(rng.normal(size=3)), fns.product(3),
+                fns.quadratic(rng.normal(size=(3, 3)), rng.normal(size=3)),
+                cubic3(third=True)]
+    built.clear()
+    for f in families:
+        for _ in range(20):
+            th = rng.uniform(-1.5, 1.5, size=f.dim)
+            assert oracles.finite_diff_validate(f, th, 3) < 1e-5, f.label
+    assert built == []
+    # a wrong slice is caught: cubic3's f_{1,1,1} = 6 read as 5
+    wrong = dataclasses.replace(families[-1], third_diag_rule=lambda th, j:
+                                cubic3_slice(j) - (j == 1) * np.eye(3)[1])
+    assert oracles.finite_diff_validate(wrong, [0.9, 1.1, -0.7], 3) > 0.99
 
 
 def test_builtin_families_match_finite_differences_random_points():
@@ -62,47 +88,51 @@ def test_builtin_families_match_finite_differences_random_points():
             )
 
 
-def cubic3(value_only: bool) -> fns.AnalyticFunction:
-    """theta_0^2 theta_1 + theta_1^3 + theta_0 theta_1 theta_2, whose slices
-    f_{j,i,i} are (0, 0, 0), (2, 6, 0) and (0, 0, 0)."""
-    def value(th):
-        th = np.asarray(th, float)
-        x, y, z = th[..., 0], th[..., 1], th[..., 2]
-        return x * x * y + y**3 + x * y * z
+def cubic3_value(th):
+    th = np.asarray(th, float)
+    x, y, z = th[..., 0], th[..., 1], th[..., 2]
+    return x * x * y + y**3 + x * y * z
 
-    if value_only:
-        return fns.composite(value, 3, label="cubic3")
+
+def cubic3_slice(j: int) -> np.ndarray:
+    return np.array([2.0, 6.0, 0.0]) if j == 1 else np.zeros(3)
+
+
+def cubic3(third: bool = False) -> fns.AnalyticFunction:
+    """theta_0^2 theta_1 + theta_1^3 + theta_0 theta_1 theta_2, whose slices
+    f_{j,i,i} are (0, 0, 0), (2, 6, 0) and (0, 0, 0); with ``third`` it
+    carries that slice rule, else the slices difference its gradient."""
     return fns.from_rules(
-        3, "cubic3", value,
+        3, "cubic3", cubic3_value,
         grad_rule=lambda th: np.array([2 * th[0] * th[1] + th[1] * th[2],
                                        th[0] ** 2 + 3 * th[1] ** 2 + th[0] * th[2],
                                        th[0] * th[1]]),
         hess_rule=lambda th: np.array([[2 * th[1], 2 * th[0] + th[2], th[1]],
                                        [2 * th[0] + th[2], 6 * th[1], th[0]],
-                                       [th[1], th[0], 0.0]]))
+                                       [th[1], th[0], 0.0]]),
+        third_diag_rule=(lambda th, j: cubic3_slice(j)) if third else None)
 
 
-def test_composite_fd_third_matches_exact_of_product():
-    # differencing an exact gradient gives the slice to about 1e-7; a bare
-    # value rule gets a value stencil, about 1e-7 to 1e-6 here
+def sin_sum(th):
+    return np.sin(np.asarray(th, float)).sum(axis=-1)
+
+
+def test_value_stencil_third_slice_matches_exact_rules():
+    # differencing an exact gradient gives the slice to about 1e-7; the
+    # oracle's value stencil, about 1e-7 to 1e-6 here
     f_exact = fns.product(3)
-    f_fd = fns.composite(f_exact.value_rule, 3, label="probe")
-    sin_sum = fns.composite(lambda th: np.sin(np.asarray(th, float)).sum(axis=-1),
-                            3, label="sin-sum")
     th = [0.9, 1.1, -0.7]
-    want = {"product": [np.zeros(3)] * 3,
-            "cubic3": [np.zeros(3), np.array([2.0, 6.0, 0.0]), np.zeros(3)]}
     for j in range(3):
-        np.testing.assert_allclose(f_fd.third_diag_slice(th, j),
-                                   f_exact.third_diag_slice(th, j), atol=1e-5)
-        np.testing.assert_allclose(f_exact.third_diag_slice(th, j),
-                                   want["product"][j])
-        np.testing.assert_allclose(cubic3(False).third_diag_slice(th, j),
-                                   want["cubic3"][j], atol=1e-6)
-        np.testing.assert_allclose(cubic3(True).third_diag_slice(th, j),
-                                   want["cubic3"][j], atol=1e-5)
+        np.testing.assert_allclose(
+            oracles.fd_third_slice(f_exact.value_rule, th, j),
+            f_exact.third_diag_slice(th, j), atol=1e-5)
+        np.testing.assert_allclose(f_exact.third_diag_slice(th, j), np.zeros(3))
+        np.testing.assert_allclose(cubic3().third_diag_slice(th, j),
+                                   cubic3_slice(j), atol=1e-6)
+        np.testing.assert_allclose(oracles.fd_third_slice(cubic3_value, th, j),
+                                   cubic3_slice(j), atol=1e-5)
         # f_{j,i,i} = -cos(theta_j) delta_ij
-        np.testing.assert_allclose(sin_sum.third_diag_slice(th, j),
+        np.testing.assert_allclose(oracles.fd_third_slice(sin_sum, th, j),
                                    -np.cos(th[j]) * np.eye(3)[j], atol=1e-5)
 
 
@@ -114,7 +144,7 @@ def test_composite_fd_third_matches_exact_of_product():
 ])
 def test_value_only_third_slice_is_one_batched_call(rules, derivative, rows):
     # every finite-difference derivative evaluates its whole stencil in one
-    # batched call of the best rule it has
+    # batched call of the rule it differences
     calls = []
 
     def counted(rule):
@@ -124,18 +154,23 @@ def test_value_only_third_slice_is_one_batched_call(rules, derivative, rows):
             return rule(th)
         return batch
 
+    th = [0.9, 1.1, -0.7]
     if rules == "value":
-        f = fns.composite(counted(lambda th: np.sin(th).sum(axis=-1)), 3)
+        # the oracle's value-only stencils
+        value = counted(sin_sum)
+        if derivative == "third":
+            oracles.fd_third_slice(value, th, 2)
+        else:
+            oracles.fd_hessian(value, th)
     else:
-        base = cubic3(False)
+        base = cubic3()
         f = fns.from_rules(3, "cubic3", base.value_rule, base.grad_rule, None,
                            grad_batch_rule=counted(np.vectorize(
                                base.grad_rule, signature="(d)->(d)")))
-    th = [0.9, 1.1, -0.7]
-    if derivative == "third":
-        f.third_diag_slice(th, 2)
-    else:
-        f.hessian(th)
+        if derivative == "third":
+            f.third_diag_slice(th, 2)
+        else:
+            f.hessian(th)
     assert calls == [(rows, 3)]
 
 
@@ -167,15 +202,12 @@ def test_non_finite_third_slice_raises():
             al.predicted_mse(bounds.point_model(stencil, theta), plan)
         with pytest.raises(fns.EvaluationError, match="third derivative"):
             ruled.third_diag_slice([1.0, 0.0], 1)
-        bad = fns.composite(lambda th: np.log(np.asarray(th, float)).sum(axis=-1), 2)
-        with pytest.raises(fns.EvaluationError):
-            bad.third_diag_slice([1e-4, 1.0], 0)
 
 
 def test_fd_third_diag_slice_evaluates_the_base_gradient_once():
     # 2d + 1 gradient evaluations: one at theta, two per shifted coordinate
     calls = []
-    base = cubic3(False)
+    base = cubic3()
     f = fns.from_rules(3, "counted", base.value_rule,
                        lambda th: calls.append(1) or base.grad_rule(th),
                        base.hess_rule)
@@ -194,9 +226,22 @@ def test_as_params_validation():
         fns.as_params([[1.0, 2.0]], 2)
 
 
+def zero_gradients(points):
+    return np.zeros(np.shape(points))
+
+
+def test_a_function_needs_an_exact_gradient_rule():
+    with pytest.raises(ValueError, match="value-only needs an exact gradient"):
+        fns.AnalyticFunction(dim=2, family="custom", label="value-only",
+                             value_rule=sin_sum)
+    with pytest.raises(ValueError, match="value-only needs an exact gradient"):
+        fns.from_rules(2, "value-only", sin_sum, None, None)
+
+
 def test_value_error_reports_nonfinite():
-    f = fns.composite(lambda th: np.exp(np.asarray(th, float)[..., 0] * 1e6),
-                      1, label="overflow")
+    f = fns.from_rules(1, "overflow",
+                       lambda th: np.exp(np.asarray(th, float)[..., 0] * 1e6),
+                       None, None, grad_batch_rule=zero_gradients)
     with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
         f.value([2000.0])
 
@@ -204,7 +249,8 @@ def test_value_error_reports_nonfinite():
 def test_value_rule_of_the_wrong_shape_is_named():
     # a value rule maps (n, d) blocks to (n,) values; there is no per-row
     # fallback to guess at
-    f = fns.composite(lambda th: np.float64(0.0), 2, label="scalar-only")
+    f = fns.from_rules(2, "scalar-only", lambda th: np.float64(0.0), None, None,
+                       grad_batch_rule=zero_gradients)
     for call in (lambda: f.values(np.zeros((3, 2))), lambda: f.value([0.0, 0.0])):
         with pytest.raises(ValueError, match=r"value rule of scalar-only "
                                              r"returned shape \(\)"):
@@ -219,15 +265,14 @@ def test_builtins_set_only_the_batch_gradient_rule():
                 beam, *(fn for fn, _ in ex.fom_battery())]
     for f in builtins:
         assert f.grad_rule is None and f.grad_batch_rule is not None, f.label
-        assert f.gradient_exact
 
 
 def test_batch_values_and_gradients_match_scalar():
     rng = np.random.default_rng(17)
     for f in (fns.product(3),
               fns.quadratic(rng.normal(size=(3, 3)), rng.normal(size=3)),
-              fns.composite(lambda th: np.sin(np.asarray(th, float)).sum(axis=-1),
-                            3, label="sin-sum")):
+              fns.from_rules(3, "sin-sum", sin_sum, None, None,
+                             grad_batch_rule=lambda th: np.cos(th))):
         pts = rng.uniform(-1.5, 1.5, size=(40, 3))
         np.testing.assert_allclose(
             f.values(pts), [f.value(p) for p in pts], rtol=1e-12
@@ -255,6 +300,7 @@ def test_from_rules_roundtrip():
     assert f.family == "custom"
     assert oracles.finite_diff_validate(f, [0.7], 1) < 1e-9
     assert oracles.finite_diff_validate(f, [0.7], 2) < 1e-6
+    assert oracles.finite_diff_validate(f, [0.7], 3) < 1e-5
     assert np.array_equal(f.third_diag_slice([0.7], 0), [6.0])
     # the rule agrees with differencing the exact gradient
     fd = fns.from_rules(1, "cubic", f.value_rule, f.grad_rule, f.hess_rule)

@@ -123,7 +123,9 @@ def test_solve_rows_bits_do_not_depend_on_layout(transposed):
 def test_ansatz_jacobian_shape_guard():
     bad = ip.Ansatz(param_dim=1, label="bad",
                     field_rule=lambda c, x: c[0] * x,
-                    jacobian_rule=lambda c, x: x)
+                    jacobian_rule=lambda c, x: x,
+                    field_batch_rule=lambda cs, x: cs[:, :1] * x,
+                    jacobian_batch_rule=lambda cs, x: np.ones((len(cs), 1)) * x)
     with pytest.raises(ValueError, match="shape"):
         bad.jacobian((2.0,), [0.1, 0.2])
 
@@ -329,7 +331,11 @@ def exponential_ansatz():
         param_dim=2, label="exponential",
         field_rule=lambda c, x: c[0] * np.exp(c[1] * x),
         jacobian_rule=lambda c, x: np.stack(
-            [np.exp(c[1] * x), c[0] * x * np.exp(c[1] * x)], axis=1))
+            [np.exp(c[1] * x), c[0] * x * np.exp(c[1] * x)], axis=1),
+        field_batch_rule=lambda cs, x: cs[:, :1] * np.exp(cs[:, 1:] * x),
+        jacobian_batch_rule=lambda cs, x: np.stack(
+            [np.exp(cs[:, 1:] * x), cs[:, :1] * x * np.exp(cs[:, 1:] * x)],
+            axis=2))
 
 
 def test_two_parameter_ansatz_matches_its_analytic_inverse():

@@ -56,6 +56,36 @@ def imports_of(path: Path) -> set:
     return names
 
 
+def names_taken_from_functions(path: Path) -> tuple[set, set]:
+    """The ``qsn.functions`` names a source file refers to, whether imported
+    by name or read off the module, and those of them it calls."""
+    tree = ast.parse(path.read_text())
+    aliases, modules = {}, {"qsn.functions"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qsn" if node.level else "",
+                                          node.module]))
+            for alias in node.names:
+                if base == "qsn.functions":
+                    aliases[alias.asname or alias.name] = alias.name
+                elif base == "qsn" and alias.name == "functions":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name == "qsn.functions" and alias.asname)
+
+    def named(node):
+        if isinstance(node, ast.Name) and node.id in aliases:
+            return aliases[node.id]
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+            return node.attr
+        return None
+
+    used = set(aliases.values()) | {named(n) for n in ast.walk(tree)}
+    called = {named(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return used - {None}, called - {None}
+
+
 def within(name: str, modules) -> bool:
     return any(name == m or name.startswith(m + ".") for m in modules)
 
@@ -69,6 +99,12 @@ def test_oracle_layer_stays_apart_from_the_simulator():
     for path in simulator:
         assert not any(within(n, ["qsn.oracles"]) for n in imports_of(path)), (
             f"{path.name} imports qsn.oracles")
+
+    # an oracle builds no simulator function to probe with, and reads no
+    # private helper of the module it judges
+    used, called = names_taken_from_functions(SRC / "oracles.py")
+    assert "AnalyticFunction" not in called
+    assert [n for n in used if n.startswith("_")] == []
 
     # a fresh interpreter: importing qsn loads neither the oracles nor scipy
     done = subprocess.run(

@@ -140,7 +140,6 @@ def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
     looped = fns.from_rules(d, "looped", exact.value_rule, scalar, None)
     batched = fns.from_rules(d, "batched", exact.value_rule, scalar, None,
                              grad_batch_rule=batch)
-    value_only = fns.composite(exact.value_rule, d)
     # a batch rule whose rows match the point rule gives the same bits
     assert np.array_equal(looped.hessian(theta), batched.hessian(theta))
     for j in range(d):
@@ -150,16 +149,19 @@ def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
     h = exact.hessian(theta)
     np.testing.assert_allclose(batched.hessian(theta), h, rtol=0,
                                atol=fd_tolerance(fns.HESS_STEP, 1))
-    np.testing.assert_allclose(value_only.gradient(theta), exact.gradient(theta),
-                               rtol=0, atol=fd_tolerance(fns.GRAD_STEP, 1))
-    np.testing.assert_allclose(value_only.hessian(theta), h, rtol=0,
-                               atol=fd_tolerance(fns.HESS_STEP, 2))
+    # the oracle's value-only stencils
+    np.testing.assert_allclose(oracles.fd_gradient(exact.value_rule, theta),
+                               exact.gradient(theta), rtol=0,
+                               atol=fd_tolerance(oracles.GRAD_STEP, 1))
+    np.testing.assert_allclose(oracles.fd_hessian(exact.value_rule, theta), h,
+                               rtol=0, atol=fd_tolerance(oracles.HESS_STEP, 2))
     for j in range(d):
         want = exact.third_diag_slice(theta, j)
         np.testing.assert_allclose(batched.third_diag_slice(theta, j), want,
                                    rtol=0, atol=fd_tolerance(fns.HESS_STEP, 2))
-        np.testing.assert_allclose(value_only.third_diag_slice(theta, j), want,
-                                   rtol=0, atol=fd_tolerance(fns.THIRD_STEP, 3))
+        np.testing.assert_allclose(
+            oracles.fd_third_slice(exact.value_rule, theta, j), want, rtol=0,
+            atol=fd_tolerance(oracles.THIRD_STEP, 3))
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)

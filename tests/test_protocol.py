@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsn import allocation as al, bounds, experiment as ex, functions as fns, protocol as pr
-from qsn.measurement import RngStream, largest_remainder
+from qsn.measurement import RngStream, count_variances, largest_remainder
 
 
 def mse_and_se(estimates, truth):
@@ -133,9 +133,20 @@ def test_degenerate_gradient_skips_step2():
     assert est.mean() < 0.0
 
 
+def test_near_critical_gradient_keeps_its_correction():
+    # |w| = 1e-9 sits three decades above TINY_GRADIENT_RTOL: every trial
+    # of this step-1-free plan starts at the prior 0 and must still be
+    # corrected to w . theta = 1e-9, step-2 noise SD 1e-11. A threshold
+    # of 1e-6 would skip the correction and read 0
+    f = fns.linear([1e-9, 0.0])
+    plan = al.fixed_time_split(100.0, 0.0)
+    est = pr.run_two_step_batch(f, (1.0, 1.0), plan, RngStream(3), 2000)
+    assert abs(est.mean() - 1e-9) < 1e-11
+
+
 def test_constant_function_never_produces_nan():
-    f = fns.composite(lambda th: np.full(np.asarray(th).shape[:-1], 3.0), 2,
-                      label="const")
+    f = fns.from_rules(2, "const", lambda th: np.full(len(th), 3.0), None, None,
+                       grad_batch_rule=np.zeros_like)
     plan = al.fixed_time_split(100.0, 30.0)
     est = pr.run_two_step_batch(f, [0.2, -0.1], plan, RngStream(17), 500)
     np.testing.assert_allclose(est, 3.0, atol=1e-7)
@@ -295,6 +306,16 @@ def test_unentangled_pilot_stage():
     with pytest.raises(ValueError, match="full span"):
         baseline(f, theta, pr.ResourceBudget("qubit-time", 10.0),
                                  RngStream(47, 2), 10, pilot_fraction=0.2)
+
+
+def test_pilot_stage_takes_the_rounded_share_of_photons():
+    # round(0.1 * 1007) = 101 pilot photons spread evenly, 906 left; a
+    # floored share less one would leave 908
+    split = pr.separable_split(fns.product(4), (0.8, 1.0, 1.3, 1.6),
+                               pr.ResourceBudget("photon-number", 1007), 0.1)
+    assert split.final_photons == 906
+    want = count_variances(largest_remainder(np.ones(4), 101))
+    assert np.array_equal(split.variances, want)
 
 
 @pytest.mark.parametrize("fn, theta, photons, pilot", [
