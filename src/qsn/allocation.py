@@ -9,7 +9,8 @@ so the first step consumes a vanishing fraction of large budgets and any
 power law t1 = c * t^p with 1/2 < p < 1 gives the same leading-order MSE.
 This module provides that closed form, an independent golden-section
 minimizer to check it against, the photon analogues, and the plan record the
-protocol runners consume.
+protocol runners consume. A plan carries the ``ResourceBudget`` it splits
+and gives its own step-1 variances.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .measurement import count_variances, largest_remainder
+from .measurement import ResourceBudget, count_variances, largest_remainder
 
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 500
@@ -29,16 +30,17 @@ PARTITION_MAX_ITER = 20000
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Resource split consumed by the protocol runners.
+    """Split of a ``budget`` between the two steps, consumed by the protocol
+    runners.
 
-    Time plans carry (t1, t2) with t2 = total - t1 exactly; t1 = 0 is the
+    Time plans carry (t1, t2) with t2 = t - t1 exactly; t1 = 0 is the
     constant-gradient fast path that skips step 1 entirely. Photon plans
-    carry (n1, n2) with n1 > 0, plus nonnegative integer step-1 mode counts.
+    carry (n1, n2) with n1 > 0, plus positive integer step-1 mode counts
+    that sum to n1.
     """
 
-    kind: str
+    budget: ResourceBudget
     policy: str
-    total: float
     t1: float = 0.0
     t2: float = 0.0
     n1: int = 0
@@ -46,31 +48,32 @@ class AllocationPlan:
     mode_counts: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "qubit-time":
+        if self.budget.kind == "qubit-time":
             if self.t1 < 0 or self.t2 <= 0:
                 raise ValueError("time plan needs t1 >= 0 and t2 > 0")
-            if self.t2 != self.total - self.t1:
+            if self.t2 != self.budget.amount - self.t1:
                 raise ValueError("t2 must be the total budget less t1")
-        elif self.kind == "photon-number":
+        else:
             if self.n1 <= 0 or self.n2 <= 0:
                 raise ValueError("photon plan needs n1 > 0 and n2 > 0")
-            if self.n1 + self.n2 != int(self.total):
+            if self.n1 + self.n2 != self.budget.amount:
                 raise ValueError("n1 + n2 must equal the total budget")
-            if sum(self.mode_counts) != self.n1 or min(self.mode_counts) < 0:
-                raise ValueError("step-1 mode counts must be nonnegative "
+            if sum(self.mode_counts) != self.n1 or min(self.mode_counts) <= 0:
+                raise ValueError("step-1 mode counts must be positive "
                                  "and sum to n1")
-        else:
-            raise ValueError("kind must be 'qubit-time' or 'photon-number'")
 
     @property
     def step1_free(self) -> bool:
         """True for a time plan with t1 = 0, which runs no step 1 and
         evaluates the gradient at ``protocol.prior_point``."""
-        return self.kind == "qubit-time" and self.t1 == 0.0
+        return self.budget.kind == "qubit-time" and self.t1 == 0.0
 
-    def mode_variances(self, dim: int) -> np.ndarray:
-        """Step-1 variances 1/n_i^2 of a photon plan's mode counts, 0 where
-        a mode gets none, for a target of ``dim`` parameters."""
+    def step1_variances(self, dim: int) -> np.ndarray:
+        """Step-1 variances of a plan that runs step 1, for a target of
+        ``dim`` parameters: 1/t1^2 for every parameter of a time plan, 1/n_i^2
+        of a photon plan's mode counts."""
+        if self.budget.kind == "qubit-time":
+            return np.full(dim, 1.0 / self.t1**2)
         if len(self.mode_counts) != dim:
             raise ValueError(f"plan carries {len(self.mode_counts)} mode "
                              f"counts, need {dim}")
@@ -128,9 +131,8 @@ def _require_gradient(model: bounds.PointModel) -> None:
 
 
 def _time_plan(policy: str, t_total: float, t1: float) -> AllocationPlan:
-    return AllocationPlan(kind="qubit-time", policy=policy,
-                          total=float(t_total), t1=float(t1),
-                          t2=float(t_total) - float(t1))
+    return AllocationPlan(ResourceBudget("qubit-time", float(t_total)), policy,
+                          t1=float(t1), t2=float(t_total) - float(t1))
 
 
 def _runs_step1(model: bounds.PointModel, t_total: float) -> bool:
@@ -245,7 +247,7 @@ def continuous_pairwise_partition(coeffs: np.ndarray) -> np.ndarray:
 def _round_partition(w: np.ndarray, n1: int) -> tuple:
     """Integer step-1 photon counts: largest-remainder rounding of the
     fractions w to n1, with zero counts promoted to 1 (taken from the
-    largest mode) so step-1 variances stay finite."""
+    largest mode), as a plan's counts must be positive."""
     counts = largest_remainder(w, n1)
     for i in range(len(w)):
         if counts[i] == 0:
@@ -255,8 +257,8 @@ def _round_partition(w: np.ndarray, n1: int) -> tuple:
 
 
 def _photon_plan(policy: str, n_total: int, n1: int, w) -> AllocationPlan:
-    return AllocationPlan(kind="photon-number", policy=policy,
-                          total=float(n_total), n1=n1, n2=n_total - n1,
+    return AllocationPlan(ResourceBudget("photon-number", n_total), policy,
+                          n1=n1, n2=n_total - n1,
                           mode_counts=_round_partition(w, n1))
 
 
@@ -303,7 +305,7 @@ def predicted_mse(model: bounds.PointModel, plan: AllocationPlan) -> float:
     counts; the cross term of order 1/(n1^2 n2^2) is not modeled, so photon
     predictions approach the truth from below by that amount.
     """
-    if plan.kind == "qubit-time":
+    if plan.budget.kind == "qubit-time":
         return model.mse_at(plan.t1, plan.t2)
-    var = plan.mode_variances(model.dim)
+    var = plan.step1_variances(model.dim)
     return model.one_norm_sq / plan.n2**2 + float(var @ model.coeffs @ var)

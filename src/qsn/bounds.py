@@ -194,7 +194,7 @@ def photon_bounds(model: PointModel, photons: float) -> BoundReport:
 
 def for_budget(model: PointModel, budget) -> BoundReport:
     """``qubit_bounds`` or ``photon_bounds``, by the kind of a
-    ``protocol.ResourceBudget``."""
+    ``measurement.ResourceBudget``."""
     if budget.kind == "qubit-time":
         return qubit_bounds(model, budget.amount)
     return photon_bounds(model, int(budget.amount))

@@ -247,9 +247,12 @@ def _cmd_sweep(args) -> int:
     fn = args.function
     theta = _check_theta(fn, args.theta)
     budget, grid = _budget_grid(args)
-    cfg = ExperimentConfig(function=fn, theta=theta, budget=budget,
-                           protocol=args.protocol,
-                           policy=_check_policy(args.alloc, budget.kind))
+    try:
+        cfg = ExperimentConfig(function=fn, theta=theta, budget=budget,
+                               protocol=args.protocol,
+                               policy=_check_policy(args.alloc, budget.kind))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     records = sweep_resource(cfg, grid, args.trials, seed,
                              threads=args.threads)
     if args.no_timestamp:
@@ -268,9 +271,9 @@ def _cmd_allocate(args) -> int:
     _emit_rows(args, [{
         "function": fn.label,
         "theta": theta,
-        "kind": plan.kind,
+        "kind": plan.budget.kind,
         "policy": plan.policy,
-        "total": plan.total,
+        "total": float(plan.budget.amount),
         "t1": plan.t1,
         "t2": plan.t2,
         "n1": plan.n1,
@@ -388,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--photons", type=float_list, default=None)
         p.add_argument("--protocol", choices=PROTOCOLS, default="two-step")
         p.add_argument("--alloc", default="optimal",
-                       help="optimal | numeric | power:c,p | fixed:x")
+                       help="optimal | numeric | power:c,p | fixed:x; "
+                            "two-step runs only")
         p.add_argument("--trials", type=trial_count, default=200000)
         p.add_argument("--no-timestamp", action="store_true")
         _add_common(p, budget=not grid)

@@ -69,7 +69,9 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that defines a Monte Carlo point except trials and seed."""
+    """Everything that defines a Monte Carlo point except trials and seed.
+    A plan, and a policy other than ``optimal``, apply to two-step runs
+    only."""
 
     function: AnalyticFunction
     theta: tuple
@@ -82,13 +84,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
-        if self.plan is not None:
-            if self.protocol != "two-step":
-                raise ValueError("an allocation plan applies to two-step runs only")
-            if (self.plan.kind, self.plan.total) != (self.budget.kind,
-                                                     self.budget.amount):
-                raise ValueError("the allocation plan must split this "
-                                 "config's budget")
+        if self.protocol != "two-step" and (self.plan is not None
+                                            or self.policy != "optimal"):
+            raise ValueError("an allocation plan or policy applies to "
+                             "two-step runs only")
+        if self.plan is not None and self.plan.budget != self.budget:
+            raise ValueError("the allocation plan must split this "
+                             "config's budget")
         if self.pilot_fraction is not None and self.protocol != "unentangled":
             raise ValueError("a pilot fraction applies to unentangled runs only")
         as_params(self.theta, self.function.dim)

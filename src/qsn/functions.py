@@ -161,8 +161,13 @@ class AnalyticFunction:
     def gradients(self, points: np.ndarray) -> np.ndarray:
         points = self._as_batch(points)
         if self.grad_batch_rule is not None:
-            return np.asarray(self.grad_batch_rule(points), dtype=float)
-        return np.stack([np.asarray(self.grad_rule(p), float) for p in points])
+            out = np.asarray(self.grad_batch_rule(points), dtype=float)
+        else:
+            out = np.stack([np.asarray(self.grad_rule(p), float) for p in points])
+        if out.shape != points.shape:
+            raise ValueError(f"gradient rule of {self.label} returned shape "
+                             f"{out.shape}, expected {points.shape}")
+        return out
 
     def _as_batch(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -1,7 +1,9 @@
-"""Measurement primitives: seeded random streams, per-parameter estimates,
-the GHZ schedules that realize a linear combination, and photon-mode
-bookkeeping.
+"""Measurement primitives: the resource budget, seeded random streams,
+per-parameter estimates, the GHZ schedules that realize a linear
+combination, and photon-mode bookkeeping.
 
+:class:`ResourceBudget` is the one check of a budget's kind and amount:
+allocation plans and GHZ schedules carry one instead of checking their own.
 The protocol simulators draw Gaussian step-1 estimates
 (:func:`sample_param_estimates`) and a Gaussian step-2 combination at the
 entangled floor that ``bounds.qubit_bounds`` and ``bounds.photon_bounds``
@@ -28,6 +30,22 @@ MODELING_ASSUMPTIONS = (
 )
 
 _UINT64_MAX = 2**64 - 1
+
+
+@dataclass(frozen=True)
+class ResourceBudget:
+    """Total interrogation resource: qubit time or photon count."""
+
+    kind: str
+    amount: float
+
+    def __post_init__(self):
+        if self.kind not in ("qubit-time", "photon-number"):
+            raise ValueError("kind must be 'qubit-time' or 'photon-number'")
+        if not np.isfinite(self.amount) or self.amount <= 0:
+            raise ValueError("amount must be positive and finite")
+        if self.kind == "photon-number" and self.amount != int(self.amount):
+            raise ValueError("photon budgets are integers")
 
 
 @dataclass(frozen=True)
@@ -100,23 +118,22 @@ def sample_param_estimates(theta, variances, rng, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GHZSpec:
-    """Entangled-state schedule realizing a weighted parameter sum with
-    ``amount`` of a resource, computed from the weights.
+    """Entangled-state schedule realizing a weighted parameter sum within a
+    ``budget`` of time or photons, computed from the weights.
 
-    For time resources, sensor i participates for tau_i = t |w_i| / max|w|
+    For time budgets, sensor i participates for tau_i = t |w_i| / max|w|
     (the largest-weight sensor runs the full time t) and negative weights
     enter through a basis flip, so the accumulated relative phase is
 
         phi = (t / max|w|) * (w . theta).
 
-    For photon resources the weights become mode counts n_i = N |w_i| / sum|w|
+    For photon budgets the weights become mode counts n_i = N |w_i| / sum|w|
     rounded by largest remainder; where those quotas are whole numbers, the
     two-branch Fock superposition accumulates phi = (N / sum|w|) (w . theta).
     """
 
     weights: tuple
-    kind: str
-    amount: float
+    budget: ResourceBudget
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -124,16 +141,10 @@ class GHZSpec:
             raise ValueError("weights must be a finite nonempty vector")
         if np.all(w == 0.0):
             raise ValueError("weights must not all vanish")
-        if self.kind not in ("qubit-time", "photon-number"):
-            raise ValueError("kind must be 'qubit-time' or 'photon-number'")
-        if not 0 < self.amount < np.inf:
-            raise ValueError("amount must be positive and finite")
-        if self.kind == "photon-number" and int(self.amount) != self.amount:
-            raise ValueError("photon number must be a whole number")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     def _abs_weights(self, kind: str) -> np.ndarray:
-        if self.kind != kind:
+        if self.budget.kind != kind:
             raise ValueError(f"defined for {kind} specs only")
         return np.abs(np.asarray(self.weights, dtype=float))
 
@@ -141,21 +152,21 @@ class GHZSpec:
     def durations(self) -> tuple:
         """Per-sensor interaction times t (|w_i| / max|w|), at most t."""
         w = self._abs_weights("qubit-time")
-        return tuple(float(x) for x in self.amount * (w / w.max()))
+        return tuple(float(x) for x in self.budget.amount * (w / w.max()))
 
     @property
     def mode_counts(self) -> tuple:
-        """Per-mode photon counts, ``amount`` apportioned to |w|."""
+        """Per-mode photon counts, the budget apportioned to |w|."""
         w = self._abs_weights("photon-number")
-        return tuple(int(x) for x in largest_remainder(w, self.amount))
+        return tuple(int(x) for x in largest_remainder(w, self.budget.amount))
 
     @classmethod
     def for_time(cls, weights, time: float) -> "GHZSpec":
-        return cls(weights, "qubit-time", time)
+        return cls(weights, ResourceBudget("qubit-time", time))
 
     @classmethod
     def for_photons(cls, weights, photons: int) -> "GHZSpec":
-        return cls(weights, "photon-number", photons)
+        return cls(weights, ResourceBudget("photon-number", photons))
 
 
 # -- integer apportionment -----------------------------------------------------

@@ -4,8 +4,12 @@ Two batch runners are provided, each vectorized over trials; a single run
 is a batch of one. ``run_two_step_batch`` plays the entangled protocol:
 spend the step-1 budget localizing theta, point the linear-combination
 measurement along the gradient there, and correct the first-stage value with
-the measured combination. ``run_unentangled_batch`` plays the separable
-baseline: estimate every parameter on its own and plug into the function.
+the measured combination; its step-1 variances are the plan's own
+(``AllocationPlan.step1_variances``). ``run_unentangled_batch`` plays the
+separable baseline: estimate every parameter on its own and plug into the
+function. ``build_plan`` resolves an allocation policy for a
+``ResourceBudget``, which lives in ``qsn.measurement`` and is importable
+from here as well.
 
 Both draw estimator outcomes directly from the known sampling distributions
 rather than simulating shot records: Gaussian step-1 marginals, and a
@@ -26,30 +30,14 @@ import numpy as np
 from . import allocation, bounds
 from .functions import (AnalyticFunction, EvaluationError, Workspace,
                         as_params, fold_columns, rowwise)
-from .measurement import (_apportion, _generator, _inverse_squares,
-                          count_variances, largest_remainder,
-                          sample_param_estimates)
+from .measurement import (ResourceBudget, _apportion, _generator,
+                          _inverse_squares, count_variances,
+                          largest_remainder, sample_param_estimates)
 
 # Step-2 weights below this size (relative to the function scale) are treated
 # as an exact critical point: the combination carries no signal, so the
 # correction is skipped instead of normalizing a zero-length weight vector.
 TINY_GRADIENT_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ResourceBudget:
-    """Total interrogation resource: qubit time or photon count."""
-
-    kind: str
-    amount: float
-
-    def __post_init__(self):
-        if self.kind not in ("qubit-time", "photon-number"):
-            raise ValueError("kind must be 'qubit-time' or 'photon-number'")
-        if not np.isfinite(self.amount) or self.amount <= 0:
-            raise ValueError("amount must be positive and finite")
-        if self.kind == "photon-number" and self.amount != int(self.amount):
-            raise ValueError("photon budgets are integers")
 
 
 def parse_policy(policy: str, kind: str) -> tuple[str, tuple]:
@@ -93,28 +81,6 @@ def build_plan(model: bounds.PointModel, budget: ResourceBudget,
     return allocation.fixed_photon_split(model, int(budget.amount), *args)
 
 
-def _step1_variances(fn: AnalyticFunction, theta_true: np.ndarray,
-                     plan: allocation.AllocationPlan) -> np.ndarray:
-    """Per-parameter step-1 variances implied by a plan that runs step 1.
-
-    Zero resource on a parameter pins its estimate to the prior; that is only
-    sound when the function is locally insensitive to it, so a zero count on
-    a parameter with nonzero gradient is rejected.
-    """
-    if plan.kind == "qubit-time":
-        return np.full(fn.dim, 1.0 / plan.t1**2)
-    var = plan.mode_variances(fn.dim)
-    if np.any(var == 0.0):
-        g = fn.gradient(theta_true)
-        bad = (var == 0.0) & (g != 0.0)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"no step-1 photons on parameter {i} but the target depends on it"
-            )
-    return var
-
-
 def prior_point(dim: int) -> np.ndarray:
     """The zero prior: where step-1-free runs evaluate the gradient, and
     where the separable baseline leaves unmeasured parameters. Callers
@@ -139,7 +105,7 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     if plan.step1_free:
         theta1 = np.broadcast_to(prior_point(fn.dim), (trials, fn.dim)).copy()
     else:
-        var = _step1_variances(fn, theta_true, plan)
+        var = plan.step1_variances(fn.dim)
         theta1 = sample_param_estimates(theta_true, var, gen, size=trials)
     w = fn.gradients(theta1)
     f1 = fn.values(theta1)
@@ -153,7 +119,7 @@ def run_two_step_batch(fn: AnalyticFunction, theta_true,
     q = np.einsum("nd,nd->n", w, diff)
     abs_w = np.abs(w, out=buf)
     wmax = fold_columns(np.maximum, abs_w)
-    if plan.kind == "qubit-time":
+    if plan.budget.kind == "qubit-time":
         noise_sd = wmax / plan.t2
     else:
         # from eight terms on np.sum adds in interleaved partial sums, whose

@@ -214,7 +214,7 @@ def test_criterion_4_fails_when_every_sensor_runs_the_full_time(monkeypatch):
     # a schedule that runs every sensor for t stays within its budget but
     # measures sum_i sign(w_i) theta_i, not w . theta
     monkeypatch.setattr(ms.GHZSpec, "durations", property(
-        lambda spec: (float(spec.amount),) * len(spec.weights)))
+        lambda spec: (float(spec.budget.amount),) * len(spec.weights)))
     direction, _, over_budget = ghz_schedule_errors()
     assert direction > GHZ_GATE and over_budget == 0
 

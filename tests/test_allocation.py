@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from qsn import allocation as al, bounds, functions as fns, oracles
-from qsn.measurement import RngStream
+from qsn.measurement import ResourceBudget, RngStream
 from qsn.protocol import run_two_step_batch
 
 
@@ -38,26 +38,26 @@ def test_plan_budget_invariants():
     assert sum(plan.mode_counts) == plan.n1
 
     with pytest.raises(ValueError):
-        al.AllocationPlan(kind="qubit-time", policy="fixed", total=10.0,
+        al.AllocationPlan(ResourceBudget("qubit-time", 10.0), policy="fixed",
                           t1=3.0, t2=8.0)
     with pytest.raises(ValueError):
-        al.AllocationPlan(kind="photon-number", policy="fixed", total=10,
+        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
                           n1=4, n2=6, mode_counts=(2, 1))
 
 
 def test_plans_must_split_their_budget_exactly():
     # t2 is the total less t1 to the bit, as every split builds it
     with pytest.raises(ValueError, match="t2"):
-        al.AllocationPlan(kind="qubit-time", policy="fixed", total=1e4,
+        al.AllocationPlan(ResourceBudget("qubit-time", 1e4), policy="fixed",
                           t1=100.0, t2=9900.09)
-    al.AllocationPlan(kind="qubit-time", policy="fixed", total=1e4,
+    al.AllocationPlan(ResourceBudget("qubit-time", 1e4), policy="fixed",
                       t1=100.0, t2=9900.0)
-    # a photon plan runs a step 1, so it carries step-1 counts, none negative
+    # a photon plan runs a step 1, so it carries step-1 counts, all positive
     with pytest.raises(ValueError, match="n1 > 0"):
-        al.AllocationPlan(kind="photon-number", policy="fixed", total=10,
+        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
                           n1=0, n2=10)
-    with pytest.raises(ValueError, match="nonnegative"):
-        al.AllocationPlan(kind="photon-number", policy="fixed", total=10,
+    with pytest.raises(ValueError, match="positive"):
+        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
                           n1=5, n2=5, mode_counts=(6, -1))
 
 
@@ -313,8 +313,8 @@ def test_min_weighted_inverse_square_example():
 def test_photon_plan_counts_must_match_the_target():
     # the prediction and the runner read a plan's counts through one check
     model = bounds.point_model(fns.product(2), [1.0, 1.0])
-    plan = al.AllocationPlan(kind="photon-number", policy="fixed:5",
-                             total=10.0, n1=5, n2=5, mode_counts=(5,))
+    plan = al.AllocationPlan(ResourceBudget("photon-number", 10),
+                             policy="fixed:5", n1=5, n2=5, mode_counts=(5,))
     with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):
         al.predicted_mse(model, plan)
     with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):

@@ -262,6 +262,11 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert run_command(
         ["simulate", "--function", "product:d=2", "--theta", "1,1",
          "--trials", "200"]) == 2
+    # the unentangled protocol has no step split to allocate
+    assert run_command(
+        ["simulate", "--function", "product:d=2", "--theta", "1,1",
+         "--time", "1e3", "--protocol", "unentangled", "--alloc", "fixed:5",
+         "--trials", "100"]) == 2
     assert run_command(
         ["verify-fom", "--function", "product:d=2", "--sigma", "0.05",
          "--trials", "200"]) == 2

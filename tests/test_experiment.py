@@ -163,6 +163,9 @@ def test_config_rejects_options_its_protocol_ignores():
     with pytest.raises(ValueError, match="plan"):
         ex.ExperimentConfig(base, (1.0, 1.0), budget, protocol="unentangled",
                             plan=plan)
+    with pytest.raises(ValueError, match="policy"):
+        ex.ExperimentConfig(base, (1.0, 1.0), budget, protocol="unentangled",
+                            policy="fixed:60")
 
 
 def test_config_rejects_a_plan_for_another_budget():
@@ -365,6 +368,8 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
                         counted("hess", base.hess_rule),
                         counted("third", base.third_diag_rule),
                         grad_batch_rule=counted("grad", base.grad_batch_rule))
+    if protocol == "unentangled":
+        policy = "optimal"  # the baseline has no split to allocate
     cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3),
                               pr.ResourceBudget(kind, grid[0]),
                               protocol=protocol, policy=policy)

@@ -257,6 +257,19 @@ def test_value_rule_of_the_wrong_shape_is_named():
             call()
 
 
+def test_gradient_rule_of_the_wrong_shape_is_named():
+    # both gradient rules must give one (d,) row per point, as gradients
+    # returns them; a (d,) vector for every block is refused, not reshaped
+    for f in (fns.from_rules(2, "flat", sin_sum, None, None,
+                             grad_batch_rule=lambda p: np.ones(2)),
+              fns.from_rules(2, "flat", sin_sum, lambda p: np.ones(3), None)):
+        for call in (lambda: f.gradients(np.zeros((3, 2))),
+                     lambda: f.gradient([0.5, 0.5])):
+            with pytest.raises(ValueError, match=r"gradient rule of flat "
+                                                 r"returned shape"):
+                call()
+
+
 def test_builtins_set_only_the_batch_gradient_rule():
     beam = ip.induced_function(ip.gaussian_beam(),
                                ip.SensorLayout((-1.0, 0.3, 1.2), 0.1),

@@ -64,7 +64,8 @@ def schedule_reading(spec, theta):
     the weights w, and (|v|/|w|)^2, the Fisher information about w . theta)
     of a schedule, at theta."""
     w = np.asarray(spec.weights)
-    rates = spec.durations if spec.kind == "qubit-time" else spec.mode_counts
+    rates = (spec.durations if spec.budget.kind == "qubit-time"
+             else spec.mode_counts)
     v = oracles.ghz_phase_gradient(rates, np.sign(w), theta)
     cos = abs(v @ w) / (np.linalg.norm(v) * np.linalg.norm(w))
     return 1.0 - cos, float(v @ v / (w @ w))
@@ -89,8 +90,8 @@ def test_ghz_spec_rejects_bad_amounts():
     for amount in (0.0, -1.0, np.inf, np.nan):
         for kind in ("qubit-time", "photon-number"):
             with pytest.raises(ValueError, match="amount"):
-                ms.GHZSpec((1.0, 2.0), kind, amount)
-    with pytest.raises(ValueError, match="whole"):
+                ms.GHZSpec((1.0, 2.0), ms.ResourceBudget(kind, amount))
+    with pytest.raises(ValueError, match="integers"):
         ms.GHZSpec.for_photons((1.0, 2.0), 7.5)
     with pytest.raises(ValueError, match="qubit-time"):
         ms.GHZSpec.for_photons((1.0, 2.0), 8).durations

@@ -251,6 +251,29 @@ def test_every_plan_conserves_its_budget(family, d, seed, t_total, photons,
         assert len(plan.mode_counts) == d and min(plan.mode_counts) >= 1
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["product", "quadratic"]), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_no_photon_plan_qsn_builds_is_refused(family, d, seed, data):
+    # a plan refuses a zero mode count, which would sample its parameter at
+    # the true value; the rounding promotes zeros, so no built plan has one,
+    # from the smallest step 1 (n1 = d) to the largest (n1 = N - 1)
+    fn, theta = random_target(family, d, seed)
+    model = bounds.point_model(fn, theta)
+    photons = data.draw(st.integers(2 * d, 10**5), label="photons")
+    n1 = data.draw(st.integers(d, photons - 1), label="n1")
+    budget = ResourceBudget("photon-number", photons)
+    for policy in ("optimal", f"fixed:{d}", f"fixed:{n1}",
+                   f"fixed:{photons - 1}"):
+        plan = build_plan(model, budget, policy)
+        assert min(plan.mode_counts) >= 1
+        assert sum(plan.mode_counts) == plan.n1
+    if d > 1:
+        with pytest.raises(ValueError, match="positive"):
+            al.AllocationPlan(budget, "fixed", n1=plan.n1, n2=plan.n2,
+                              mode_counts=(0,) * (d - 1) + (plan.n1,))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 50),
        d=st.integers(1, 12), total=st.integers(0, 10**6))

@@ -203,13 +203,13 @@ def test_batch_matches_scalar_draw_for_draw():
     for i, plan in enumerate((al.optimal_time_split(model, 1e3),
                               al.optimal_photon_split(model, 500))):
         gen = RngStream(23, 5 + i).generator()
-        if plan.kind == "qubit-time":
+        if plan.budget.kind == "qubit-time":
             sd, step2 = np.full(2, 1.0 / plan.t1), plan.t2
         else:
             sd, step2 = 1.0 / np.asarray(plan.mode_counts, float), plan.n2
         theta1 = theta + sd * gen.standard_normal(2)
         w = f.gradient(theta1)
-        norm = np.max if plan.kind == "qubit-time" else np.sum
+        norm = np.max if plan.budget.kind == "qubit-time" else np.sum
         single = (f.value(theta1) + w @ (theta - theta1)
                   + norm(np.abs(w)) / step2 * gen.standard_normal())
         batch = pr.run_two_step_batch(f, theta, plan, RngStream(23, 5 + i), 1)
@@ -243,11 +243,11 @@ def test_photon_two_step_mse_approaches_one_norm():
 
 
 def test_zero_count_mode_with_live_gradient_rejected():
-    f = fns.product(2)
-    plan = al.AllocationPlan(kind="photon-number", policy="fixed:5", total=10.0,
-                             n1=5, n2=5, mode_counts=(5, 0))
-    with pytest.raises(ValueError, match="parameter 1"):
-        pr.run_two_step_batch(f, [1.0, 1.0], plan, RngStream(31), 10)
+    # a mode given no step-1 photons would have its parameter sampled with
+    # variance 0, at the true value: the plan refuses it when it is built
+    with pytest.raises(ValueError, match="positive"):
+        al.AllocationPlan(pr.ResourceBudget("photon-number", 10),
+                          policy="fixed:5", n1=5, n2=5, mode_counts=(5, 0))
 
 
 def test_unentangled_time_baseline():
