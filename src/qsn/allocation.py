@@ -8,9 +8,11 @@ t1 << t_total, by
 so the first step consumes a vanishing fraction of large budgets and any
 power law t1 = c * t^p with 1/2 < p < 1 gives the same leading-order MSE.
 This module provides that closed form, an independent golden-section
-minimizer to check it against, the photon analogues, and the plan record the
-protocol runners consume. A plan carries the ``ResourceBudget`` it splits
-and gives its own step-1 variances.
+minimizer to check it against, the photon analogues, the policy grammar that
+names them (``parse_policy``) and its resolution into a plan
+(``build_plan``), and the plan record the protocol runners consume. A plan
+carries the ``ResourceBudget`` it splits, is the one check of a time split's
+range, and gives its own step-1 variances.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class AllocationPlan:
 
     def __post_init__(self):
         if self.budget.kind == "qubit-time":
-            if self.t1 < 0 or self.t2 <= 0:
+            # written so that a NaN t1 fails it too
+            if not (self.t1 >= 0 and self.t2 > 0):
                 raise ValueError("time plan needs t1 >= 0 and t2 > 0")
             if self.t2 != self.budget.amount - self.t1:
                 raise ValueError("t2 must be the total budget less t1")
@@ -72,12 +75,55 @@ class AllocationPlan:
         """Step-1 variances of a plan that runs step 1, for a target of
         ``dim`` parameters: 1/t1^2 for every parameter of a time plan, 1/n_i^2
         of a photon plan's mode counts."""
+        if self.step1_free:
+            raise ValueError("a step-1-free plan draws no step-1 estimates")
         if self.budget.kind == "qubit-time":
             return np.full(dim, 1.0 / self.t1**2)
         if len(self.mode_counts) != dim:
             raise ValueError(f"plan carries {len(self.mode_counts)} mode "
                              f"counts, need {dim}")
         return count_variances(np.asarray(self.mode_counts, dtype=float))
+
+
+def parse_policy(policy: str, kind: str) -> tuple[str, tuple]:
+    """Split an allocation policy into its name and arguments for a budget
+    kind, or raise ValueError.
+
+    Policies: ``optimal`` (closed form), ``numeric`` (golden section, time
+    budgets only), ``power:c,p`` (t1 = c * t^p, time budgets only),
+    ``fixed:x`` (explicit step-1 share: a time, or a whole photon count).
+    """
+    time = kind == "qubit-time"
+    name, _, arg = policy.partition(":")
+    try:
+        if policy == "optimal" or (time and policy == "numeric"):
+            return policy, ()
+        if time and name == "power":
+            coeff, power = arg.split(",")
+            return name, (float(coeff), float(power))
+        if name == "fixed":
+            return name, (float(arg) if time else int(arg),)
+    except ValueError:
+        pass
+    raise ValueError(f"invalid {'time' if time else 'photon'} policy {policy!r}")
+
+
+def build_plan(model: bounds.PointModel, budget: ResourceBudget,
+               policy: str = "optimal") -> AllocationPlan:
+    """Resolve a policy string (see ``parse_policy``) into a concrete split
+    at the point ``model`` describes."""
+    name, args = parse_policy(policy, budget.kind)
+    if budget.kind == "qubit-time":
+        if name == "optimal":
+            return optimal_time_split(model, budget.amount)
+        if name == "numeric":
+            return numeric_time_split(model, budget.amount)
+        if name == "power":
+            return power_law_time_split(budget.amount, *args)
+        return fixed_time_split(budget.amount, *args)
+    if name == "optimal":
+        return optimal_photon_split(model, int(budget.amount))
+    return fixed_photon_split(model, int(budget.amount), *args)
 
 
 def golden_section_min(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -185,15 +231,11 @@ def power_law_time_split(t_total: float, coeff: float, power: float) -> Allocati
         raise ValueError("power must lie strictly between 1/2 and 1")
     if coeff <= 0:
         raise ValueError("coeff must be positive")
-    t1 = coeff * t_total**power
-    if not 0 < t1 < t_total:
-        raise ValueError("power law puts t1 outside (0, t_total)")
-    return _time_plan(f"power:{coeff!r},{power!r}", t_total, t1)
+    return _time_plan(f"power:{coeff!r},{power!r}", t_total,
+                      coeff * t_total**power)
 
 
 def fixed_time_split(t_total: float, t1: float) -> AllocationPlan:
-    if not 0 <= t1 < t_total:
-        raise ValueError("need 0 <= t1 < t_total")
     return _time_plan(f"fixed:{t1!r}", t_total, t1)
 
 

@@ -52,6 +52,7 @@ import numpy as np
 from .functions import AnalyticFunction, EvaluationError, as_params
 # re-exported: the splits in ``allocation`` raise it from here
 from .functions import DegenerateGradientError
+from .measurement import ResourceBudget
 
 
 @dataclass(frozen=True)
@@ -162,39 +163,34 @@ def point_model(fn: AnalyticFunction, theta) -> PointModel:
                       third_slice=third, coeffs=coeffs, g1=g1, g2=g2, g3=g3)
 
 
-def _report(entangled: float, unentangled: float, kind: str,
-            resource: float, conjectured: bool = False) -> BoundReport:
+def _report(entangled: float, unentangled: float, budget: ResourceBudget,
+            conjectured: bool = False) -> BoundReport:
     """The ``BoundReport`` of the entangled and unentangled squared gradient
-    norms at a budget of ``resource``."""
+    norms under ``budget``."""
     degenerate = entangled == 0.0
     return BoundReport(
-        entangled_bound=entangled / resource**2,
-        unentangled_baseline=unentangled / resource**2,
+        entangled_bound=entangled / budget.amount**2,
+        unentangled_baseline=unentangled / budget.amount**2,
         advantage_ratio=1.0 if degenerate else unentangled / entangled,
-        resource_kind=kind, resource=float(resource), degenerate=degenerate,
-        conjectured=conjectured)
+        resource_kind=budget.kind, resource=float(budget.amount),
+        degenerate=degenerate, conjectured=conjectured)
 
 
 def qubit_bounds(model: PointModel, time: float) -> BoundReport:
     """Time-resource bounds: max_j f_j^2/t^2 vs |grad f|^2/t^2."""
-    if not np.isfinite(time) or time <= 0:
-        raise ValueError("time must be positive and finite")
     g = model.gradient
-    return _report(float(np.max(g * g)), float(np.sum(g * g)), "qubit-time",
-                   time)
+    return _report(float(np.max(g * g)), float(np.sum(g * g)),
+                   ResourceBudget("qubit-time", time))
 
 
-def photon_bounds(model: PointModel, photons: float) -> BoundReport:
+def photon_bounds(model: PointModel, photons: int) -> BoundReport:
     """Photon-resource bounds: |grad f|_1^2/N^2 vs |grad f|_{2/3}^2/N^2."""
-    if not np.isfinite(photons) or photons <= 0:
-        raise ValueError("photon number must be positive and finite")
     return _report(model.one_norm_sq, two_thirds_norm_sq(model.gradient),
-                   "photon-number", photons, conjectured=True)
+                   ResourceBudget("photon-number", photons), conjectured=True)
 
 
-def for_budget(model: PointModel, budget) -> BoundReport:
-    """``qubit_bounds`` or ``photon_bounds``, by the kind of a
-    ``measurement.ResourceBudget``."""
+def for_budget(model: PointModel, budget: ResourceBudget) -> BoundReport:
+    """``qubit_bounds`` or ``photon_bounds``, by the kind of ``budget``."""
     if budget.kind == "qubit-time":
         return qubit_bounds(model, budget.amount)
     return photon_bounds(model, int(budget.amount))

@@ -36,8 +36,7 @@ from .experiment import (MIN_TRIALS, PROTOCOLS, ExperimentConfig,
                          base_metadata, check_grid, fom_battery,
                          sweep_resource, verify_general_fom)
 from .interpolation import SensorLayout, gaussian_beam, run_interpolation
-from .measurement import RngStream
-from .protocol import ResourceBudget, build_plan, parse_policy
+from .measurement import ResourceBudget, RngStream
 
 
 class UsageError(ValueError):
@@ -161,7 +160,7 @@ def _budget_grid(args) -> tuple[ResourceBudget, list]:
 
 def _check_policy(policy: str, kind: str) -> str:
     try:
-        parse_policy(policy, kind)
+        allocation.parse_policy(policy, kind)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return policy
@@ -249,8 +248,7 @@ def _cmd_sweep(args) -> int:
     budget, grid = _budget_grid(args)
     try:
         cfg = ExperimentConfig(function=fn, theta=theta, budget=budget,
-                               protocol=args.protocol,
-                               policy=_check_policy(args.alloc, budget.kind))
+                               protocol=args.protocol, policy=args.alloc)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     records = sweep_resource(cfg, grid, args.trials, seed,
@@ -266,7 +264,8 @@ def _cmd_allocate(args) -> int:
     theta = _check_theta(fn, args.theta)
     budget, _ = _budget_grid(args)
     model = bounds.point_model(fn, theta)
-    plan = build_plan(model, budget, _check_policy(args.alloc, budget.kind))
+    plan = allocation.build_plan(model, budget,
+                                 _check_policy(args.alloc, budget.kind))
     predicted = allocation.predicted_mse(model, plan)
     _emit_rows(args, [{
         "function": fn.label,

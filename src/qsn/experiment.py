@@ -28,12 +28,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import allocation, bounds
+from .allocation import build_plan
 from .functions import AnalyticFunction, EvaluationError, as_params
 from .functions import from_rules, linear, quadratic
-from .measurement import MODELING_ASSUMPTIONS, RngStream
-from .protocol import (TINY_GRADIENT_RTOL, ResourceBudget, build_plan,
-                       prior_point, run_two_step_batch, run_unentangled_batch,
-                       separable_split)
+from .measurement import MODELING_ASSUMPTIONS, ResourceBudget, RngStream
+from .protocol import (TINY_GRADIENT_RTOL, prior_point, run_two_step_batch,
+                       run_unentangled_batch, separable_split)
 
 # Trials per chunk. Part of the determinism contract: changing it reshuffles
 # which stream serves which trial, so results are only comparable at equal
@@ -84,6 +84,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        allocation.parse_policy(self.policy, self.budget.kind)
         if self.protocol != "two-step" and (self.plan is not None
                                             or self.policy != "optimal"):
             raise ValueError("an allocation plan or policy applies to "

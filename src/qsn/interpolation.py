@@ -25,7 +25,7 @@ from . import bounds, experiment
 from .allocation import predicted_mse
 from .experiment import ExperimentConfig, MSEEstimate, estimate_mse
 from .functions import AnalyticFunction, EvaluationError, Workspace, as_params
-from .protocol import ResourceBudget
+from .measurement import ResourceBudget
 
 # Layouts whose sensor Jacobian is worse-conditioned than this are rejected
 # outright: the induced function would amplify reading noise by the same

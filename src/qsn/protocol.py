@@ -7,9 +7,9 @@ measurement along the gradient there, and correct the first-stage value with
 the measured combination; its step-1 variances are the plan's own
 (``AllocationPlan.step1_variances``). ``run_unentangled_batch`` plays the
 separable baseline: estimate every parameter on its own and plug into the
-function. ``build_plan`` resolves an allocation policy for a
-``ResourceBudget``, which lives in ``qsn.measurement`` and is importable
-from here as well.
+function. Plans come from ``qsn.allocation``, which parses and resolves
+allocation policies; ``ResourceBudget`` lives in ``qsn.measurement`` and is
+importable from here as well.
 
 Both draw estimator outcomes directly from the known sampling distributions
 rather than simulating shot records: Gaussian step-1 marginals, and a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import allocation, bounds
+from . import allocation
 from .functions import (AnalyticFunction, EvaluationError, Workspace,
                         as_params, fold_columns, rowwise)
 from .measurement import (ResourceBudget, _apportion, _generator,
@@ -38,47 +38,6 @@ from .measurement import (ResourceBudget, _apportion, _generator,
 # as an exact critical point: the combination carries no signal, so the
 # correction is skipped instead of normalizing a zero-length weight vector.
 TINY_GRADIENT_RTOL = 1e-12
-
-
-def parse_policy(policy: str, kind: str) -> tuple[str, tuple]:
-    """Split an allocation policy into its name and arguments for a budget
-    kind, or raise ValueError.
-
-    Policies: ``optimal`` (closed form), ``numeric`` (golden section, time
-    budgets only), ``power:c,p`` (t1 = c * t^p, time budgets only),
-    ``fixed:x`` (explicit step-1 share: a time, or a whole photon count).
-    """
-    time = kind == "qubit-time"
-    name, _, arg = policy.partition(":")
-    try:
-        if policy == "optimal" or (time and policy == "numeric"):
-            return policy, ()
-        if time and name == "power":
-            coeff, power = arg.split(",")
-            return name, (float(coeff), float(power))
-        if name == "fixed":
-            return name, (float(arg) if time else int(arg),)
-    except ValueError:
-        pass
-    raise ValueError(f"invalid {'time' if time else 'photon'} policy {policy!r}")
-
-
-def build_plan(model: bounds.PointModel, budget: ResourceBudget,
-               policy: str = "optimal") -> allocation.AllocationPlan:
-    """Resolve a policy string (see ``parse_policy``) into a concrete split
-    at the point ``model`` describes."""
-    name, args = parse_policy(policy, budget.kind)
-    if budget.kind == "qubit-time":
-        if name == "optimal":
-            return allocation.optimal_time_split(model, budget.amount)
-        if name == "numeric":
-            return allocation.numeric_time_split(model, budget.amount)
-        if name == "power":
-            return allocation.power_law_time_split(budget.amount, *args)
-        return allocation.fixed_time_split(budget.amount, *args)
-    if name == "optimal":
-        return allocation.optimal_photon_split(model, int(budget.amount))
-    return allocation.fixed_photon_split(model, int(budget.amount), *args)
 
 
 def prior_point(dim: int) -> np.ndarray:

@@ -75,6 +75,14 @@ MUTANTS = [
      "src/qsn/allocation.py",
      "min(self.mode_counts) <= 0",
      "min(self.mode_counts) < 0"),
+    ("M13", "a config accepts a policy its budget cannot run",
+     "src/qsn/experiment.py",
+     "        allocation.parse_policy(self.policy, self.budget.kind)\n",
+     ""),
+    ("M14", "a time plan accepts t2 = 0",
+     "src/qsn/allocation.py",
+     "not (self.t1 >= 0 and self.t2 > 0)",
+     "not (self.t1 >= 0 and self.t2 >= 0)"),
 ]
 
 # Tests outside tests/test_bits.py and the *_pinned CLI tests that compare

@@ -286,12 +286,34 @@ def test_optimal_photon_split_computes_hessian_and_partition_once(monkeypatch):
     assert (len(hessians), len(partitions)) == (1, 1)
 
 
+def test_build_plan_policies():
+    model = bounds.point_model(fns.product(2), [1.0, 1.0])
+    t = ResourceBudget("qubit-time", 1e4)
+    assert al.build_plan(model, t).policy == "optimal"
+    assert al.build_plan(model, t, "numeric").policy == "numeric"
+    assert al.build_plan(model, t, "power:1.0,0.7").t1 == pytest.approx(10**2.8)
+    assert al.build_plan(model, t, "fixed:250").t1 == 250.0
+    with pytest.raises(ValueError):
+        al.build_plan(model, t, "adaptive")
+
+    n = ResourceBudget("photon-number", 1000)
+    assert al.build_plan(model, n).n1 == 96
+    assert al.build_plan(model, n, "fixed:10").n1 == 10
+    with pytest.raises(ValueError):
+        al.build_plan(model, n, "numeric")
+
+
 def test_only_a_zero_t1_time_plan_skips_step1():
     assert al.fixed_time_split(100.0, 0.0).step1_free
     assert not al.fixed_time_split(100.0, 30.0).step1_free
     plan = al.optimal_photon_split(
         bounds.point_model(fns.linear([1.0, 2.0]), [0.0, 0.0]), 100)
     assert not plan.step1_free
+
+
+def test_a_step1_free_plan_has_no_step1_variances():
+    with pytest.raises(ValueError, match="draws no step-1 estimates"):
+        al.fixed_time_split(10.0, 0.0).step1_variances(2)
 
 
 def test_min_weighted_inverse_square_example():

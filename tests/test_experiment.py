@@ -168,6 +168,19 @@ def test_config_rejects_options_its_protocol_ignores():
                             policy="fixed:60")
 
 
+def test_config_refuses_a_policy_its_budget_cannot_run():
+    # refused when the config is built, not at its first estimate_mse
+    base = fns.product(2)
+    for kind, amount, policy in (("photon-number", 1000, "numeric"),
+                                 ("photon-number", 1000, "power:1,0.7"),
+                                 ("photon-number", 1000, "fixed:2.5"),
+                                 ("qubit-time", 1e3, "fixed:abc"),
+                                 ("qubit-time", 1e3, "adaptive")):
+        with pytest.raises(ValueError, match=f"invalid .* policy '{policy}'"):
+            ex.ExperimentConfig(base, (1.0, 1.0), pr.ResourceBudget(kind, amount),
+                                policy=policy)
+
+
 def test_config_rejects_a_plan_for_another_budget():
     base = fns.product(2)
     photons = al.fixed_photon_split(bounds.point_model(base, (1.0, 1.0)), 100, 10)
@@ -322,7 +335,7 @@ def test_sweep_derives_each_points_model_once(kind, grid, policy):
     records = ex.sweep_resource(cfg, grid, trials=200, master_seed=5)
     for rec, amount in zip(records, grid):
         model = bounds.point_model(fn, cfg.theta)
-        plan = pr.build_plan(model, pr.ResourceBudget(kind, amount), policy)
+        plan = al.build_plan(model, pr.ResourceBudget(kind, amount), policy)
         assert rec.predicted_mse == al.predicted_mse(model, plan)
 
 

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qsn import allocation as al, bounds, functions as fns, interpolation as ip
 from qsn import oracles
+from qsn.allocation import build_plan
 from qsn.cli import run_command
 from qsn.experiment import CHUNK, ExperimentConfig, estimate_mse, sweep_resource
 from qsn.measurement import largest_remainder
-from qsn.protocol import ResourceBudget, build_plan
+from qsn.protocol import ResourceBudget
 
 BEAM = ip.gaussian_beam()
 LAYOUT = ip.SensorLayout((-1.0, 0.3, 1.2), 0.1)
@@ -272,6 +273,31 @@ def test_no_photon_plan_qsn_builds_is_refused(family, d, seed, data):
         with pytest.raises(ValueError, match="positive"):
             al.AllocationPlan(budget, "fixed", n1=plan.n1, n2=plan.n2,
                               mode_counts=(0,) * (d - 1) + (plan.n1,))
+
+
+@settings(max_examples=36, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["product", "quadratic"]), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), t_total=st.floats(3.0, 1e8),
+       photons=st.integers(12, 10**6), share=st.floats(0.0, 0.999),
+       coeff=st.floats(0.05, 1.0), power=st.floats(0.55, 0.95))
+def test_every_plan_names_the_policy_that_rebuilds_it(family, d, seed, t_total,
+                                                      photons, share, coeff,
+                                                      power):
+    # a plan's policy string parses for its kind, and resolving it again at
+    # the same point and budget gives the same plan
+    fn, theta = random_target(family, d, seed)
+    model = bounds.point_model(fn, theta)
+    n1 = d + int(share * (photons - 1 - d))
+    for budget, policies in (
+            (ResourceBudget("qubit-time", t_total),
+             ("optimal", "numeric", f"fixed:{share * t_total!r}",
+              f"power:{coeff!r},{power!r}")),
+            (ResourceBudget("photon-number", photons),
+             ("optimal", f"fixed:{n1}"))):
+        for policy in policies:
+            plan = build_plan(model, budget, policy)
+            al.parse_policy(plan.policy, budget.kind)
+            assert build_plan(model, budget, plan.policy) == plan
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

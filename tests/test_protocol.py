@@ -35,23 +35,6 @@ def test_resource_budget_validation():
         pr.ResourceBudget("photon-number", 10.5)
 
 
-def test_build_plan_policies():
-    model = bounds.point_model(fns.product(2), [1.0, 1.0])
-    t = pr.ResourceBudget("qubit-time", 1e4)
-    assert pr.build_plan(model, t).policy == "optimal"
-    assert pr.build_plan(model, t, "numeric").policy == "numeric"
-    assert pr.build_plan(model, t, "power:1.0,0.7").t1 == pytest.approx(10**2.8)
-    assert pr.build_plan(model, t, "fixed:250").t1 == 250.0
-    with pytest.raises(ValueError):
-        pr.build_plan(model, t, "adaptive")
-
-    n = pr.ResourceBudget("photon-number", 1000)
-    assert pr.build_plan(model, n).n1 == 96
-    assert pr.build_plan(model, n, "fixed:10").n1 == 10
-    with pytest.raises(ValueError):
-        pr.build_plan(model, n, "numeric")
-
-
 def test_two_step_linear_unbiased_exact_floor():
     # zero Hessian: f(step1) + grad.(theta - step1) == f(theta) identically,
     # so the only error is the step-2 noise at its 16/t2^2 floor
