@@ -11,8 +11,8 @@ This module provides that closed form, an independent golden-section
 minimizer to check it against, the photon analogues, the policy grammar that
 names them (``parse_policy``) and its resolution into a plan
 (``build_plan``), and the plan record the protocol runners consume. A plan
-carries the ``ResourceBudget`` it splits, is the one check of a time split's
-range, and gives its own step-1 variances.
+holds the ``ResourceBudget`` it splits and its step-1 choice, is the one
+check of a time split's range, and gives its own step-1 variances.
 """
 
 from __future__ import annotations
@@ -33,20 +33,18 @@ PARTITION_MAX_ITER = 20000
 @dataclass(frozen=True)
 class AllocationPlan:
     """Split of a ``budget`` between the two steps, consumed by the protocol
-    runners.
+    runners. A plan holds its budget, its policy and the step-1 choice; the
+    step-2 share is the budget less that choice.
 
-    Time plans carry (t1, t2) with t2 = t - t1 exactly; t1 = 0 is the
-    constant-gradient fast path that skips step 1 entirely. Photon plans
-    carry (n1, n2) with n1 > 0, plus positive integer step-1 mode counts
-    that sum to n1.
+    Time plans choose t1, and t2 = t - t1; t1 = 0 is the constant-gradient
+    fast path that skips step 1 entirely. Photon plans choose positive
+    integer step-1 mode counts, n1 is their sum and n2 = N - n1. The other
+    kind's amounts read 0.
     """
 
     budget: ResourceBudget
     policy: str
     t1: float = 0.0
-    t2: float = 0.0
-    n1: int = 0
-    n2: int = 0
     mode_counts: tuple = ()
 
     def __post_init__(self):
@@ -54,16 +52,30 @@ class AllocationPlan:
             # written so that a NaN t1 fails it too
             if not (self.t1 >= 0 and self.t2 > 0):
                 raise ValueError("time plan needs t1 >= 0 and t2 > 0")
-            if self.t2 != self.budget.amount - self.t1:
-                raise ValueError("t2 must be the total budget less t1")
-        else:
-            if self.n1 <= 0 or self.n2 <= 0:
-                raise ValueError("photon plan needs n1 > 0 and n2 > 0")
-            if self.n1 + self.n2 != self.budget.amount:
-                raise ValueError("n1 + n2 must equal the total budget")
-            if sum(self.mode_counts) != self.n1 or min(self.mode_counts) <= 0:
-                raise ValueError("step-1 mode counts must be positive "
-                                 "and sum to n1")
+            # below t1 = 1, t1**4 may underflow; the prediction divides by it
+            if 0 < self.t1 < 1 and not (self.t1**4
+                                        and np.isfinite(1.0 / self.t1**4)):
+                raise ValueError(f"time plan's t1 = {self.t1!r} is too small: "
+                                 "1/t1**4 is not finite")
+        elif min(self.mode_counts, default=0) <= 0:
+            raise ValueError("photon plan needs positive step-1 mode counts "
+                             "(n1 > 0)")
+        elif self.n2 <= 0:
+            raise ValueError("photon plan needs n2 > 0")
+
+    @property
+    def t2(self) -> float:
+        time = self.budget.kind == "qubit-time"
+        return self.budget.amount - self.t1 if time else 0.0
+
+    @property
+    def n1(self) -> int:
+        return sum(self.mode_counts)
+
+    @property
+    def n2(self) -> int:
+        time = self.budget.kind == "qubit-time"
+        return 0 if time else self.budget.amount - self.n1
 
     @property
     def step1_free(self) -> bool:
@@ -178,7 +190,7 @@ def _require_gradient(model: bounds.PointModel) -> None:
 
 def _time_plan(policy: str, t_total: float, t1: float) -> AllocationPlan:
     return AllocationPlan(ResourceBudget("qubit-time", float(t_total)), policy,
-                          t1=float(t1), t2=float(t_total) - float(t1))
+                          t1=float(t1))
 
 
 def _runs_step1(model: bounds.PointModel, t_total: float) -> bool:
@@ -300,7 +312,6 @@ def _round_partition(w: np.ndarray, n1: int) -> tuple:
 
 def _photon_plan(policy: str, n_total: int, n1: int, w) -> AllocationPlan:
     return AllocationPlan(ResourceBudget("photon-number", n_total), policy,
-                          n1=n1, n2=n_total - n1,
                           mode_counts=_round_partition(w, n1))
 
 

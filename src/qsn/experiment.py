@@ -29,8 +29,8 @@ import numpy as np
 
 from . import allocation, bounds
 from .allocation import build_plan
-from .functions import AnalyticFunction, EvaluationError, as_params
-from .functions import from_rules, linear, quadratic
+from .functions import (AnalyticFunction, EvaluationError, as_params, linear,
+                        quadratic)
 from .measurement import MODELING_ASSUMPTIONS, ResourceBudget, RngStream
 from .protocol import (TINY_GRADIENT_RTOL, prior_point, run_two_step_batch,
                        run_unentangled_batch, separable_split)
@@ -306,12 +306,11 @@ def fom_battery() -> tuple:
     higher-order targets whose neglected terms are small at the documented
     variance scales.
     """
-    cubic = from_rules(
+    cubic = AnalyticFunction(
         dim=2,
         label="x1 x2 + 0.05 (x1^3 + x2^3)",
         value_rule=lambda p: p[:, 0] * p[:, 1]
         + 0.05 * (p[:, 0] ** 3 + p[:, 1] ** 3),
-        grad_rule=None,
         hess_rule=lambda p: np.array(
             [[0.3 * p[0], 1.0], [1.0, 0.3 * p[1]]]
         ),
@@ -320,12 +319,11 @@ def fom_battery() -> tuple:
             axis=1,
         ),
     )
-    quartic = from_rules(
+    quartic = AnalyticFunction(
         dim=2,
         label="x1^2 + x2^2 + 0.02 x1^2 x2^2",
         value_rule=lambda p: p[:, 0] ** 2 + p[:, 1] ** 2
         + 0.02 * p[:, 0] ** 2 * p[:, 1] ** 2,
-        grad_rule=None,
         hess_rule=lambda p: np.array(
             [[2.0 + 0.04 * p[1] ** 2, 0.08 * p[0] * p[1]],
              [0.08 * p[0] * p[1], 2.0 + 0.04 * p[0] ** 2]]

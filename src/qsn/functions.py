@@ -7,8 +7,9 @@ gradient and whatever higher closed-form derivative rules it has. Past the
 Hessian the expansion reads only the diagonal third-derivative slice
 f_{j,i,i}, so that slice is all the third-order information offered.
 Built-in families (linear, product, quadratic) carry exact rules for all of
-it; a missing Hessian or third-slice rule falls back to central differences
-of the exact gradient, the whole stencil in one batched ``gradients`` call.
+it; a custom target is an ``AnalyticFunction`` built directly from its rules.
+A missing Hessian or third-slice rule falls back to central differences of
+the exact gradient, the whole stencil in one batched ``gradients`` call.
 Value-only finite-difference stencils, which check these rules, live in
 ``qsn.oracles``.
 
@@ -72,20 +73,22 @@ class AnalyticFunction:
     rule is replaced by central differences of the exact gradient, one
     batched ``gradients`` call on the stencil. Where a row's bits depend on
     its batch (the induced function's Newton inversion), so do these.
+    ``family`` names the builder of a built-in target and is ``"custom"``
+    for one built directly from its rules.
     """
 
     dim: int
-    family: str
     label: str
     value_rule: Callable[[np.ndarray], np.ndarray]
     grad_rule: Callable[[np.ndarray], np.ndarray] | None = None
     hess_rule: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_batch_rule: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
     third_diag_rule: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, repr=False
     )
+    grad_batch_rule: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
+    family: str = "custom"
 
     def __post_init__(self):
         if self.grad_batch_rule is None and self.grad_rule is None:
@@ -364,28 +367,3 @@ def quadratic(matrix, offset=None, label: str | None = None) -> AnalyticFunction
         third_diag_rule=_zero_diag_slice(d),
     )
 
-
-def from_rules(
-    dim: int,
-    label: str,
-    value_rule,
-    grad_rule,
-    hess_rule,
-    third_diag_rule=None,
-    grad_batch_rule=None,
-) -> AnalyticFunction:
-    """Custom function with explicit closed-form derivative rules, as in
-    :class:`AnalyticFunction`: ``grad_rule`` may be None when
-    ``grad_batch_rule`` is given, but not both; ``hess_rule`` and
-    ``third_diag_rule`` may be None, and are then differenced from the
-    gradient."""
-    return AnalyticFunction(
-        dim=dim,
-        family="custom",
-        label=label,
-        value_rule=value_rule,
-        grad_rule=grad_rule,
-        hess_rule=hess_rule,
-        grad_batch_rule=grad_batch_rule,
-        third_diag_rule=third_diag_rule,
-    )

@@ -329,7 +329,8 @@ def _batch_newton(ansatz: Ansatz, layout: SensorLayout, readings: np.ndarray,
             return np.broadcast_to(c, shape).copy()
         delta = _solve_rows(ansatz.jacobian_batch(c, locs), resid, work=work,
                             out=step)
-        c = np.subtract(c, delta, out=iterate)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            c = np.subtract(c, delta, out=iterate)
         if not np.all(np.isfinite(c)):
             raise EvaluationError("sensor-map inversion diverged")
     resid = ansatz.field_batch(c, locs) - readings

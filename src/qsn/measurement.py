@@ -160,14 +160,6 @@ class GHZSpec:
         w = self._abs_weights("photon-number")
         return tuple(int(x) for x in largest_remainder(w, self.budget.amount))
 
-    @classmethod
-    def for_time(cls, weights, time: float) -> "GHZSpec":
-        return cls(weights, ResourceBudget("qubit-time", time))
-
-    @classmethod
-    def for_photons(cls, weights, photons: int) -> "GHZSpec":
-        return cls(weights, ResourceBudget("photon-number", photons))
-
 
 # -- integer apportionment -----------------------------------------------------
 

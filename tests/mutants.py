@@ -73,8 +73,8 @@ MUTANTS = [
      "TINY_GRADIENT_RTOL = 1e-6"),
     ("M12", "a photon plan accepts zero step-1 mode counts",
      "src/qsn/allocation.py",
-     "min(self.mode_counts) <= 0",
-     "min(self.mode_counts) < 0"),
+     "min(self.mode_counts, default=0) <= 0",
+     "min(self.mode_counts, default=0) < 0"),
     ("M13", "a config accepts a policy its budget cannot run",
      "src/qsn/experiment.py",
      "        allocation.parse_policy(self.policy, self.budget.kind)\n",
@@ -83,6 +83,10 @@ MUTANTS = [
      "src/qsn/allocation.py",
      "not (self.t1 >= 0 and self.t2 > 0)",
      "not (self.t1 >= 0 and self.t2 >= 0)"),
+    ("M15", "a time plan accepts a t1 whose 1/t1**4 is not finite",
+     "src/qsn/allocation.py",
+     "if 0 < self.t1 < 1 and not",
+     "if 0 < self.t1 < 0 and not"),
 ]
 
 # Tests outside tests/test_bits.py and the *_pinned CLI tests that compare

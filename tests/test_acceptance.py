@@ -185,7 +185,7 @@ def ghz_schedule_errors():
         alpha[top] += np.sign(alpha[top])  # keep max|alpha| well defined
         theta = rng.uniform(-1.0, 1.0, size=d)
         t = float(rng.uniform(1.0, 50.0))
-        durations = ms.GHZSpec.for_time(alpha, t).durations
+        durations = ms.GHZSpec(alpha, ResourceBudget("qubit-time", t)).durations
         over_budget += max(durations) > t
         v = oracles.ghz_phase_gradient(durations, np.sign(alpha), theta)
         cos = abs(v @ alpha) / (np.linalg.norm(v) * np.linalg.norm(alpha))

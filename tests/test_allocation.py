@@ -37,28 +37,36 @@ def test_plan_budget_invariants():
     assert plan.n1 + plan.n2 == 100
     assert sum(plan.mode_counts) == plan.n1
 
-    with pytest.raises(ValueError):
-        al.AllocationPlan(ResourceBudget("qubit-time", 10.0), policy="fixed",
-                          t1=3.0, t2=8.0)
-    with pytest.raises(ValueError):
-        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
-                          n1=4, n2=6, mode_counts=(2, 1))
-
 
 def test_plans_must_split_their_budget_exactly():
     # t2 is the total less t1 to the bit, as every split builds it
-    with pytest.raises(ValueError, match="t2"):
-        al.AllocationPlan(ResourceBudget("qubit-time", 1e4), policy="fixed",
-                          t1=100.0, t2=9900.09)
     al.AllocationPlan(ResourceBudget("qubit-time", 1e4), policy="fixed",
-                      t1=100.0, t2=9900.0)
+                      t1=100.0)
     # a photon plan runs a step 1, so it carries step-1 counts, all positive
     with pytest.raises(ValueError, match="n1 > 0"):
-        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
-                          n1=0, n2=10)
+        al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed")
     with pytest.raises(ValueError, match="positive"):
         al.AllocationPlan(ResourceBudget("photon-number", 10), policy="fixed",
-                          n1=5, n2=5, mode_counts=(6, -1))
+                          mode_counts=(6, -1))
+
+
+def test_a_plan_holds_only_its_choice():
+    # the step-2 share is the budget less the step-1 choice, so a plan
+    # cannot disagree with its budget; the other kind's amounts read 0
+    fields = [f.name for f in dataclasses.fields(al.AllocationPlan)]
+    assert fields == ["budget", "policy", "t1", "mode_counts"]
+    plan = al.AllocationPlan(ResourceBudget("qubit-time", 1e4), "fixed:100.0",
+                             t1=100.0)
+    assert (plan.t1, plan.t2, plan.n1, plan.n2) == (100.0, 9900.0, 0, 0)
+    assert type(plan.t2) is float and type(plan.n2) is int
+    plan = al.AllocationPlan(ResourceBudget("photon-number", 10), "fixed:4",
+                             mode_counts=(3, 1))
+    assert (plan.t1, plan.t2, plan.n1, plan.n2) == (0.0, 0.0, 4, 6)
+    assert type(plan.t2) is float and type(plan.n2) is int
+    # step-1 counts that take the whole budget leave no step 2
+    with pytest.raises(ValueError, match="n2 > 0"):
+        al.AllocationPlan(ResourceBudget("photon-number", 10), "fixed:10",
+                          mode_counts=(6, 4))
 
 
 def test_closed_form_t1_example():
@@ -96,7 +104,7 @@ def test_optimal_time_split_examples():
 def test_flat_point_uses_sqrt_budget():
     # f = x^3/3 + x at 0: gradient 1, curvature 0, third derivative 2,
     # so g1 = 0 but g3 = 2 and step 1 still helps
-    f = fns.from_rules(
+    f = fns.AnalyticFunction(
         1,
         "x^3/3 + x",
         lambda th: th[..., 0] ** 3 / 3.0 + th[..., 0],
@@ -336,7 +344,7 @@ def test_photon_plan_counts_must_match_the_target():
     # the prediction and the runner read a plan's counts through one check
     model = bounds.point_model(fns.product(2), [1.0, 1.0])
     plan = al.AllocationPlan(ResourceBudget("photon-number", 10),
-                             policy="fixed:5", n1=5, n2=5, mode_counts=(5,))
+                             policy="fixed:5", mode_counts=(5,))
     with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):
         al.predicted_mse(model, plan)
     with pytest.raises(ValueError, match="plan carries 1 mode counts, need 2"):

@@ -218,11 +218,11 @@ def test_for_budget_dispatches_on_the_budget_kind():
 def test_time_mse_coefficients_evaluates_one_hessian():
     calls = []
     base = fns.product(4)
-    f = fns.from_rules(dim=4, label="counted product",
-                       value_rule=base.value_rule, grad_rule=None,
-                       hess_rule=lambda th: calls.append(1) or base.hess_rule(th),
-                       third_diag_rule=base.third_diag_rule,
-                       grad_batch_rule=base.grad_batch_rule)
+    f = fns.AnalyticFunction(dim=4, label="counted product",
+                             value_rule=base.value_rule, grad_rule=None,
+                             hess_rule=lambda th: calls.append(1) or base.hess_rule(th),
+                             third_diag_rule=base.third_diag_rule,
+                             grad_batch_rule=base.grad_batch_rule)
     th = [0.8, 1.0, 1.3, 1.6]
     c = bounds.point_model(f, th)
     assert len(calls) == 1
@@ -235,9 +235,9 @@ def test_time_mse_coefficients_evaluates_one_hessian():
 
 def test_point_model_rejects_overflowing_coefficients():
     base = fns.product(2)
-    f = fns.from_rules(2, "steep", base.value_rule, None,
-                       lambda th: np.full((2, 2), 1e200), base.third_diag_rule,
-                       base.grad_batch_rule)
+    f = fns.AnalyticFunction(2, "steep", base.value_rule, None,
+                             lambda th: np.full((2, 2), 1e200), base.third_diag_rule,
+                             base.grad_batch_rule)
     with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
         bounds.point_model(f, [1.0, 1.0])
 

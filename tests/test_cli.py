@@ -362,6 +362,20 @@ def test_runtime_errors_exit_1(capsys):
             == "error: non-finite Jacobian of gaussian-beam\n")
 
 
+@pytest.mark.parametrize("t1, message", [
+    ("nan", "time plan needs t1 >= 0 and t2 > 0"),
+    ("10000", "time plan needs t1 >= 0 and t2 > 0"),
+    # t1**4 underflows to 0: the prediction would divide by zero
+    ("1e-100", "time plan's t1 = 1e-100 is too small: 1/t1**4 is not finite"),
+], ids=["nan", "t_total", "underflow"])
+def test_refused_time_plans_exit_1_with_the_plans_message(capsys, t1, message):
+    code = run_command(["simulate", "--function", "product:d=2", "--theta",
+                        "1,1", "--time", "1e4", "--alloc", f"fixed:{t1}",
+                        "--trials", "200"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     argv = ["simulate", "--function", "product:d=2", "--theta", "1,1",
             "--time", "1e3", "--trials", "300", "--no-timestamp"]
@@ -490,7 +504,7 @@ def test_sweep_json_bytes_pinned(capsys, d, protocol, flag, grid, digest):
 # deleted, except interpolate, re-recorded when the beam's 3x3 Newton and
 # gradient solves went closed form. interpolate takes the finite-difference
 # third_diag_slice of the induced beam function; verify-fom runs the
-# from_rules battery targets
+# battery's custom targets
 PRODUCT3 = ["--function", "product:d=3", "--theta", "0.8,1.1,1.3"]
 QUADRATIC = ["--function", "quadratic:A=1,-0.75;-0.75,2,b=0.5,-1",
              "--theta", "0.3,-0.2"]

@@ -142,8 +142,8 @@ def test_all_degenerate_runs_rejected():
         ex.estimate_mse(cfg, 200, master_seed=1)
 
     # a constant target degenerates every trial even with step-1 noise
-    const = fns.from_rules(2, "const", lambda th: np.full(len(th), 3.0), None,
-                           None, grad_batch_rule=np.zeros_like)
+    const = fns.AnalyticFunction(2, "const", lambda th: np.full(len(th), 3.0), None,
+                                 None, grad_batch_rule=np.zeros_like)
     cfg = ex.ExperimentConfig(
         function=const,
         theta=(0.2, -0.1),
@@ -377,10 +377,10 @@ def test_sweep_calls_each_derivative_rule_once(monkeypatch, protocol, kind,
                  "separable_split"):
         monkeypatch.setattr(ex, name, runner(getattr(ex, name)))
     base = fns.product(3)
-    fn = fns.from_rules(3, "counted product", base.value_rule, None,
-                        counted("hess", base.hess_rule),
-                        counted("third", base.third_diag_rule),
-                        grad_batch_rule=counted("grad", base.grad_batch_rule))
+    fn = fns.AnalyticFunction(3, "counted product", base.value_rule, None,
+                              counted("hess", base.hess_rule),
+                              counted("third", base.third_diag_rule),
+                              grad_batch_rule=counted("grad", base.grad_batch_rule))
     if protocol == "unentangled":
         policy = "optimal"  # the baseline has no split to allocate
     cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3),
@@ -420,8 +420,8 @@ def test_separable_split_is_taken_once_per_estimate(monkeypatch):
 
     monkeypatch.setattr(pr, "_pilot_stage", pilot)
     monkeypatch.setattr(ex, "run_unentangled_batch", runner)
-    fn = fns.from_rules(3, "counted product", base.value_rule, None,
-                        base.hess_rule, grad_batch_rule=grad)
+    fn = fns.AnalyticFunction(3, "counted product", base.value_rule, None,
+                              base.hess_rule, grad_batch_rule=grad)
     budget = pr.ResourceBudget("photon-number", 3000)
     for fraction in (None, 0.1):
         cfg = ex.ExperimentConfig(fn, (0.8, 1.1, 1.3), budget,

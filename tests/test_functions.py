@@ -102,7 +102,7 @@ def cubic3(third: bool = False) -> fns.AnalyticFunction:
     """theta_0^2 theta_1 + theta_1^3 + theta_0 theta_1 theta_2, whose slices
     f_{j,i,i} are (0, 0, 0), (2, 6, 0) and (0, 0, 0); with ``third`` it
     carries that slice rule, else the slices difference its gradient."""
-    return fns.from_rules(
+    return fns.AnalyticFunction(
         3, "cubic3", cubic3_value,
         grad_rule=lambda th: np.array([2 * th[0] * th[1] + th[1] * th[2],
                                        th[0] ** 2 + 3 * th[1] ** 2 + th[0] * th[2],
@@ -164,8 +164,8 @@ def test_value_only_third_slice_is_one_batched_call(rules, derivative, rows):
             oracles.fd_hessian(value, th)
     else:
         base = cubic3()
-        f = fns.from_rules(3, "cubic3", base.value_rule, base.grad_rule, None,
-                           grad_batch_rule=counted(np.vectorize(
+        f = fns.AnalyticFunction(3, "cubic3", base.value_rule, base.grad_rule, None,
+                                 grad_batch_rule=counted(np.vectorize(
                                base.grad_rule, signature="(d)->(d)")))
         if derivative == "third":
             f.third_diag_slice(th, 2)
@@ -192,8 +192,8 @@ def test_non_finite_third_slice_raises():
         return np.array([0.0, 2.0 * th[0] / th[1] ** 3 if j else -1.0 / th[1] ** 2])
 
     theta = np.array([1.0, 1e-4])
-    stencil = fns.from_rules(2, "x0 log x1", value, grad, hess)
-    ruled = fns.from_rules(2, "x0 log x1", value, grad, hess, third)
+    stencil = fns.AnalyticFunction(2, "x0 log x1", value, grad, hess)
+    ruled = fns.AnalyticFunction(2, "x0 log x1", value, grad, hess, third)
     plan = al.fixed_time_split(1e4, 100.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(fns.EvaluationError, match="third derivative"):
@@ -208,9 +208,9 @@ def test_fd_third_diag_slice_evaluates_the_base_gradient_once():
     # 2d + 1 gradient evaluations: one at theta, two per shifted coordinate
     calls = []
     base = cubic3()
-    f = fns.from_rules(3, "counted", base.value_rule,
-                       lambda th: calls.append(1) or base.grad_rule(th),
-                       base.hess_rule)
+    f = fns.AnalyticFunction(3, "counted", base.value_rule,
+                             lambda th: calls.append(1) or base.grad_rule(th),
+                             base.hess_rule)
     th = [0.9, 1.1, -0.7]
     sl = f.third_diag_slice(th, 1)
     assert len(calls) == 2 * 3 + 1
@@ -235,13 +235,13 @@ def test_a_function_needs_an_exact_gradient_rule():
         fns.AnalyticFunction(dim=2, family="custom", label="value-only",
                              value_rule=sin_sum)
     with pytest.raises(ValueError, match="value-only needs an exact gradient"):
-        fns.from_rules(2, "value-only", sin_sum, None, None)
+        fns.AnalyticFunction(2, "value-only", sin_sum, None, None)
 
 
 def test_value_error_reports_nonfinite():
-    f = fns.from_rules(1, "overflow",
-                       lambda th: np.exp(np.asarray(th, float)[..., 0] * 1e6),
-                       None, None, grad_batch_rule=zero_gradients)
+    f = fns.AnalyticFunction(1, "overflow",
+                             lambda th: np.exp(np.asarray(th, float)[..., 0] * 1e6),
+                             None, None, grad_batch_rule=zero_gradients)
     with np.errstate(over="ignore"), pytest.raises(fns.EvaluationError):
         f.value([2000.0])
 
@@ -249,8 +249,8 @@ def test_value_error_reports_nonfinite():
 def test_value_rule_of_the_wrong_shape_is_named():
     # a value rule maps (n, d) blocks to (n,) values; there is no per-row
     # fallback to guess at
-    f = fns.from_rules(2, "scalar-only", lambda th: np.float64(0.0), None, None,
-                       grad_batch_rule=zero_gradients)
+    f = fns.AnalyticFunction(2, "scalar-only", lambda th: np.float64(0.0), None, None,
+                             grad_batch_rule=zero_gradients)
     for call in (lambda: f.values(np.zeros((3, 2))), lambda: f.value([0.0, 0.0])):
         with pytest.raises(ValueError, match=r"value rule of scalar-only "
                                              r"returned shape \(\)"):
@@ -260,9 +260,9 @@ def test_value_rule_of_the_wrong_shape_is_named():
 def test_gradient_rule_of_the_wrong_shape_is_named():
     # both gradient rules must give one (d,) row per point, as gradients
     # returns them; a (d,) vector for every block is refused, not reshaped
-    for f in (fns.from_rules(2, "flat", sin_sum, None, None,
-                             grad_batch_rule=lambda p: np.ones(2)),
-              fns.from_rules(2, "flat", sin_sum, lambda p: np.ones(3), None)):
+    for f in (fns.AnalyticFunction(2, "flat", sin_sum, None, None,
+                                   grad_batch_rule=lambda p: np.ones(2)),
+              fns.AnalyticFunction(2, "flat", sin_sum, lambda p: np.ones(3), None)):
         for call in (lambda: f.gradients(np.zeros((3, 2))),
                      lambda: f.gradient([0.5, 0.5])):
             with pytest.raises(ValueError, match=r"gradient rule of flat "
@@ -284,8 +284,8 @@ def test_batch_values_and_gradients_match_scalar():
     rng = np.random.default_rng(17)
     for f in (fns.product(3),
               fns.quadratic(rng.normal(size=(3, 3)), rng.normal(size=3)),
-              fns.from_rules(3, "sin-sum", sin_sum, None, None,
-                             grad_batch_rule=lambda th: np.cos(th))):
+              fns.AnalyticFunction(3, "sin-sum", sin_sum, None, None,
+                                   grad_batch_rule=lambda th: np.cos(th))):
         pts = rng.uniform(-1.5, 1.5, size=(40, 3))
         np.testing.assert_allclose(
             f.values(pts), [f.value(p) for p in pts], rtol=1e-12
@@ -301,8 +301,8 @@ def test_product_gradient_exact_at_zeros():
     np.testing.assert_allclose(f.gradient([0.0, 0.0, 3.0]), [0.0, 0.0, 0.0])
 
 
-def test_from_rules_roundtrip():
-    f = fns.from_rules(
+def test_custom_rules_roundtrip():
+    f = fns.AnalyticFunction(
         dim=1,
         label="cubic",
         value_rule=lambda th: np.asarray(th, float)[..., 0] ** 3,
@@ -316,12 +316,23 @@ def test_from_rules_roundtrip():
     assert oracles.finite_diff_validate(f, [0.7], 3) < 1e-5
     assert np.array_equal(f.third_diag_slice([0.7], 0), [6.0])
     # the rule agrees with differencing the exact gradient
-    fd = fns.from_rules(1, "cubic", f.value_rule, f.grad_rule, f.hess_rule)
+    fd = fns.AnalyticFunction(1, "cubic", f.value_rule, f.grad_rule, f.hess_rule)
     np.testing.assert_allclose(fd.third_diag_slice([0.7], 0), [6.0], atol=1e-6)
 
 
+def test_positional_rules_fill_the_fields_in_order():
+    # a custom target is built straight from its rules, in this order, and
+    # only the built-in families name themselves
+    rules = [lambda *a, k=k: k for k in range(5)]
+    f = fns.AnalyticFunction(2, "ordered", *rules)
+    assert (f.value_rule, f.grad_rule, f.hess_rule, f.third_diag_rule,
+            f.grad_batch_rule) == tuple(rules)
+    assert f.family == "custom"
+    assert fns.product(2).family == "product"
+
+
 def test_hessian_symmetrized_even_for_unsymmetric_rule():
-    f = fns.from_rules(
+    f = fns.AnalyticFunction(
         dim=2,
         label="skew",
         value_rule=lambda th: 0.0,

@@ -34,11 +34,8 @@ def diagonal_ansatz(field, slope):
 
 
 def invert(ansatz, readings, start):
-    # an iterate that overflows warns before the inversion refuses it
-    with np.errstate(over="ignore"):
-        return ip._batch_newton(ansatz, LAYOUT,
-                                np.asarray(readings, dtype=float),
-                                np.asarray(start, dtype=float), Workspace())
+    return ip._batch_newton(ansatz, LAYOUT, np.asarray(readings, dtype=float),
+                            np.asarray(start, dtype=float), Workspace())
 
 
 def tiny_third_slope():
@@ -60,10 +57,14 @@ def infinite_second_component(points):
 
 CASES = {
     # allocation
-    "plan counts that miss the budget": (
-        lambda: al.AllocationPlan(ResourceBudget("photon-number", 10),
-                                  "fixed:3", n1=3, n2=6, mode_counts=(3,)),
-        ValueError, "n1 + n2 must equal the total budget"),
+    # t1**4 underflows to 0, and the prediction would divide by zero
+    "t1 whose fourth power is zero": (
+        lambda: al.build_plan(MODEL, TIME, "fixed:1e-100"),
+        ValueError, "time plan's t1 = 1e-100 is too small"),
+    # t1**4 is subnormal, and the prediction would read inf
+    "t1 whose fourth power is subnormal": (
+        lambda: al.build_plan(MODEL, TIME, "fixed:8e-78"),
+        ValueError, "time plan's t1 = 8e-78 is too small"),
     "time budget of 2": (
         lambda: al.optimal_time_split(MODEL, 2.0),
         ValueError, "t_total must exceed 2"),
@@ -110,7 +111,7 @@ CASES = {
         ValueError, "trials must be positive"),
     # functions
     "non-finite gradient component": (
-        lambda: fns.from_rules(
+        lambda: fns.AnalyticFunction(
             2, "inf-slope", lambda p: p[:, 0], None, None,
             grad_batch_rule=infinite_second_component).gradient([1.0, 1.0]),
         EvaluationError, "non-finite gradient component 1 of inf-slope"),
@@ -148,7 +149,7 @@ CASES = {
         lambda: ms.sample_param_estimates([0.0, 0.0], [1.0], RngStream(0), 1),
         ValueError, "variances must match theta in length"),
     "no GHZ weights": (
-        lambda: ms.GHZSpec.for_time([], 1.0),
+        lambda: ms.GHZSpec([], ResourceBudget("qubit-time", 1.0)),
         ValueError, "weights must be a finite nonempty vector"),
     "fractional apportionment total": (
         lambda: ms.largest_remainder([1.0, 1.0], 2.5),

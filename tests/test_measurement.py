@@ -72,17 +72,17 @@ def schedule_reading(spec, theta):
 
 
 def test_ghz_spec_schedules():
-    spec = ms.GHZSpec.for_time([3.0, -4.0], 2.0)
+    spec = ms.GHZSpec([3.0, -4.0], ms.ResourceBudget("qubit-time", 2.0))
     np.testing.assert_allclose(spec.durations, [1.5, 2.0])
     assert max(spec.durations) == 2.0
 
-    spec = ms.GHZSpec.for_photons([1.0, 3.0], 8)
+    spec = ms.GHZSpec([1.0, 3.0], ms.ResourceBudget("photon-number", 8))
     assert spec.mode_counts == (2, 6)
 
     with pytest.raises(ValueError):
-        ms.GHZSpec.for_time([0.0, 0.0], 1.0)
+        ms.GHZSpec([0.0, 0.0], ms.ResourceBudget("qubit-time", 1.0))
     with pytest.raises(ValueError):
-        ms.GHZSpec.for_time([1.0, 1.0], 0.0)
+        ms.GHZSpec([1.0, 1.0], ms.ResourceBudget("qubit-time", 0.0))
 
 
 def test_ghz_spec_rejects_bad_amounts():
@@ -92,11 +92,11 @@ def test_ghz_spec_rejects_bad_amounts():
             with pytest.raises(ValueError, match="amount"):
                 ms.GHZSpec((1.0, 2.0), ms.ResourceBudget(kind, amount))
     with pytest.raises(ValueError, match="integers"):
-        ms.GHZSpec.for_photons((1.0, 2.0), 7.5)
+        ms.GHZSpec((1.0, 2.0), ms.ResourceBudget("photon-number", 7.5))
     with pytest.raises(ValueError, match="qubit-time"):
-        ms.GHZSpec.for_photons((1.0, 2.0), 8).durations
+        ms.GHZSpec((1.0, 2.0), ms.ResourceBudget("photon-number", 8)).durations
     with pytest.raises(ValueError, match="photon-number"):
-        ms.GHZSpec.for_time((1.0, 2.0), 8.0).mode_counts
+        ms.GHZSpec((1.0, 2.0), ms.ResourceBudget("qubit-time", 8.0)).mode_counts
 
 
 def test_ghz_spec_accepts_its_own_schedules():
@@ -109,17 +109,19 @@ def test_ghz_spec_accepts_its_own_schedules():
         if np.all(w == 0.0):
             w[0] = 1.0
         time = float(rng.uniform(0.01, 1e4))
-        durations = np.asarray(ms.GHZSpec.for_time(w, time).durations)
+        budget = ms.ResourceBudget("qubit-time", time)
+        durations = np.asarray(ms.GHZSpec(w, budget).durations)
         # the largest weight runs the whole time, the others in proportion
         assert durations.max() == time
         np.testing.assert_allclose(durations, time * np.abs(w) / np.abs(w).max())
         photons = int(rng.integers(1, 10**5))
-        counts = np.asarray(ms.GHZSpec.for_photons(w, photons).mode_counts)
+        budget = ms.ResourceBudget("photon-number", photons)
+        counts = np.asarray(ms.GHZSpec(w, budget).mode_counts)
         assert counts.sum() == photons and np.all(counts[w == 0.0] == 0)
 
 
 def test_parity_fisher_information_example():
-    spec = ms.GHZSpec.for_time([3.0, 4.0], 2.0)
+    spec = ms.GHZSpec([3.0, 4.0], ms.ResourceBudget("qubit-time", 2.0))
     direction, info = schedule_reading(spec, [0.05, 0.02])
     assert direction < 1e-12
     assert info == pytest.approx(0.25, rel=1e-6)
@@ -142,7 +144,8 @@ def test_parity_fisher_information_random_and_phase_free():
         # stay off phases where the parity outcome is nearly certain
         if abs(np.cos(t / np.max(np.abs(alpha)) * (alpha @ theta))) > 0.95:
             continue
-        direction, info = schedule_reading(ms.GHZSpec.for_time(alpha, t), theta)
+        spec = ms.GHZSpec(alpha, ms.ResourceBudget("qubit-time", t))
+        direction, info = schedule_reading(spec, theta)
         assert direction < 1e-12
         assert info == pytest.approx((t / np.max(np.abs(alpha))) ** 2, rel=1e-6)
         done += 1
@@ -177,7 +180,7 @@ def test_photon_schedule_reaches_the_lincomb_floor(weights, photons, info):
     # two-branch Fock state with those counts measures w . theta, and its
     # Fisher information is the inverse of the photon bound reported for
     # w . theta, the floor step 2 is drawn at
-    spec = ms.GHZSpec.for_photons(weights, photons)
+    spec = ms.GHZSpec(weights, ms.ResourceBudget("photon-number", photons))
     theta = np.linspace(0.1, 0.4, len(weights))
     floor = entangled_floor(weights, photons=photons)
     assert 1.0 / floor == pytest.approx(info)
@@ -189,15 +192,17 @@ def test_photon_schedule_reaches_the_lincomb_floor(weights, photons, info):
 def test_largest_remainder_examples():
     np.testing.assert_array_equal(ms.largest_remainder([1.0, 3.0], 8), [2, 6])
     np.testing.assert_array_equal(ms.largest_remainder([1.0, 1.0, 1.0], 10), [4, 3, 3])
-    assert ms.GHZSpec.for_photons([1.0, 0.0], 5).mode_counts == (5, 0)
-    assert ms.GHZSpec.for_photons([-1.0, 3.0], 8).mode_counts == (2, 6)
+    for weights, photons, counts in (([1.0, 0.0], 5, (5, 0)),
+                                     ([-1.0, 3.0], 8, (2, 6))):
+        budget = ms.ResourceBudget("photon-number", photons)
+        assert ms.GHZSpec(weights, budget).mode_counts == counts
     np.testing.assert_array_equal(ms.largest_remainder([0.0, 0.0], 0), [0, 0])
     with pytest.raises(ValueError):
         ms.largest_remainder([0.0, 0.0], 3)
     with pytest.raises(ValueError):
         ms.largest_remainder([-1.0, 2.0], 3)
     with pytest.raises(ValueError):
-        ms.GHZSpec.for_photons([1.0, 1.0], 0)
+        ms.GHZSpec([1.0, 1.0], ms.ResourceBudget("photon-number", 0))
 
 
 def test_largest_remainder_battery():

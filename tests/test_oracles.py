@@ -115,3 +115,36 @@ def test_oracle_layer_stays_apart_from_the_simulator():
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Names that src/qsn defines for its users rather than for itself: the
+# documented library API, and the GHZ schedule criterion 4 checks.
+LIBRARY_ONLY = {"load_records", "fit_scaling_exponent", "GHZSpec",
+                "GHZSpec.durations"}
+
+
+def test_the_simulator_defines_nothing_only_tests_reach():
+    # every function, class and method outside the oracle layer is named
+    # somewhere in src/qsn, as a name, an attribute or an import
+    used, defined = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+        if path.name == "oracles.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("__")]
+    assert len(defined) > 100
+    unused = {n for n in defined if n.rsplit(".", 1)[-1] not in used}
+    assert unused == LIBRARY_ONLY

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -138,9 +139,9 @@ def test_finite_difference_fallbacks_match_exact_rules(family, d, seed):
     def scalar(th):
         return batch(np.asarray(th, float)[None, :])[0]
 
-    looped = fns.from_rules(d, "looped", exact.value_rule, scalar, None)
-    batched = fns.from_rules(d, "batched", exact.value_rule, scalar, None,
-                             grad_batch_rule=batch)
+    looped = fns.AnalyticFunction(d, "looped", exact.value_rule, scalar, None)
+    batched = fns.AnalyticFunction(d, "batched", exact.value_rule, scalar, None,
+                                   grad_batch_rule=batch)
     # a batch rule whose rows match the point rule gives the same bits
     assert np.array_equal(looped.hessian(theta), batched.hessian(theta))
     for j in range(d):
@@ -271,8 +272,15 @@ def test_no_photon_plan_qsn_builds_is_refused(family, d, seed, data):
         assert sum(plan.mode_counts) == plan.n1
     if d > 1:
         with pytest.raises(ValueError, match="positive"):
-            al.AllocationPlan(budget, "fixed", n1=plan.n1, n2=plan.n2,
+            al.AllocationPlan(budget, "fixed",
                               mode_counts=(0,) * (d - 1) + (plan.n1,))
+
+
+def quartic_reciprocal_is_finite(t1: float) -> bool:
+    try:
+        return math.isfinite(1.0 / t1**4)
+    except ZeroDivisionError:
+        return False
 
 
 @settings(max_examples=36, deadline=None, derandomize=True, database=None)
@@ -284,14 +292,21 @@ def test_every_plan_names_the_policy_that_rebuilds_it(family, d, seed, t_total,
                                                       photons, share, coeff,
                                                       power):
     # a plan's policy string parses for its kind, and resolving it again at
-    # the same point and budget gives the same plan
+    # the same point and budget gives the same plan; a step-1 time so small
+    # that the prediction's 1/t1**4 is not finite is refused instead
     fn, theta = random_target(family, d, seed)
     model = bounds.point_model(fn, theta)
     n1 = d + int(share * (photons - 1 - d))
+    time = ResourceBudget("qubit-time", t_total)
+    time_policies = ["optimal", "numeric", f"power:{coeff!r},{power!r}"]
+    t1 = share * t_total
+    if t1 > 0 and not quartic_reciprocal_is_finite(t1):
+        with pytest.raises(ValueError, match=re.escape(f"t1 = {t1!r}")):
+            build_plan(model, time, f"fixed:{t1!r}")
+    else:
+        time_policies.append(f"fixed:{t1!r}")
     for budget, policies in (
-            (ResourceBudget("qubit-time", t_total),
-             ("optimal", "numeric", f"fixed:{share * t_total!r}",
-              f"power:{coeff!r},{power!r}")),
+            (time, time_policies),
             (ResourceBudget("photon-number", photons),
              ("optimal", f"fixed:{n1}"))):
         for policy in policies:
@@ -434,8 +449,8 @@ def test_non_finite_derivatives_raise_from_the_model(d, where, index, bad, kind)
             s[index % d] = bad
         return s
 
-    fn = fns.from_rules(d, "broken", base.value_rule, None, hess,
-                        third, base.grad_batch_rule)
+    fn = fns.AnalyticFunction(d, "broken", base.value_rule, None, hess,
+                              third, base.grad_batch_rule)
     theta = np.linspace(0.8, 1.4, d)
     with pytest.raises(fns.EvaluationError):
         bounds.point_model(fn, theta)

@@ -128,8 +128,8 @@ def test_near_critical_gradient_keeps_its_correction():
 
 
 def test_constant_function_never_produces_nan():
-    f = fns.from_rules(2, "const", lambda th: np.full(len(th), 3.0), None, None,
-                       grad_batch_rule=np.zeros_like)
+    f = fns.AnalyticFunction(2, "const", lambda th: np.full(len(th), 3.0), None, None,
+                             grad_batch_rule=np.zeros_like)
     plan = al.fixed_time_split(100.0, 30.0)
     est = pr.run_two_step_batch(f, [0.2, -0.1], plan, RngStream(17), 500)
     np.testing.assert_allclose(est, 3.0, atol=1e-7)
@@ -138,7 +138,7 @@ def test_constant_function_never_produces_nan():
 def half_square_norm(alias: bool):
     # |x|^2 / 2, whose gradient is its input: the aliasing twin hands back
     # the very block it was given
-    return fns.from_rules(
+    return fns.AnalyticFunction(
         2, "half-square-norm",
         value_rule=lambda p: 0.5 * np.sum(np.square(p), axis=-1),
         grad_rule=lambda p: np.array(p, float),
@@ -150,7 +150,7 @@ def first_coordinate(alias: bool):
     # x_0, whose value is a column of its input: the aliasing twin returns
     # that column as a view, and a read-only broadcast as its gradient
     e0 = np.array([1.0, 0.0])
-    return fns.from_rules(
+    return fns.AnalyticFunction(
         2, "first-coordinate",
         value_rule=(lambda p: p[..., 0]) if alias else (lambda p: p[..., 0].copy()),
         grad_rule=lambda p: e0.copy(),
@@ -230,7 +230,7 @@ def test_zero_count_mode_with_live_gradient_rejected():
     # variance 0, at the true value: the plan refuses it when it is built
     with pytest.raises(ValueError, match="positive"):
         al.AllocationPlan(pr.ResourceBudget("photon-number", 10),
-                          policy="fixed:5", n1=5, n2=5, mode_counts=(5, 0))
+                          policy="fixed:5", mode_counts=(5, 0))
 
 
 def test_unentangled_time_baseline():
@@ -322,8 +322,8 @@ def test_pilot_batch_matches_scalar_loop_draw_for_draw(fn, theta, photons, pilot
 
 def _pilot_target(value_rule, grad_rule):
     # rules written for (2,) and (n, 2) input alike
-    return fns.from_rules(2, "pilot-target", value_rule, grad_rule,
-                          lambda th: np.zeros((2, 2)), grad_batch_rule=grad_rule)
+    return fns.AnalyticFunction(2, "pilot-target", value_rule, grad_rule,
+                                lambda th: np.zeros((2, 2)), grad_batch_rule=grad_rule)
 
 
 def test_pilot_batch_rejects_bad_rows_without_nan():
@@ -375,10 +375,10 @@ def test_pilot_results_never_alias_the_workspace():
     assert first.tobytes() == kept.tobytes()
     # rules handing back views of their input read the workspace itself;
     # f = theta_0 with the gradient theta starves neither pilot row nor mode
-    views = fns.from_rules(2, "views", lambda p: p[:, 0], None, None,
-                           grad_batch_rule=lambda p: p)
-    copies = fns.from_rules(2, "copies", lambda p: p[:, 0].copy(), None, None,
-                            grad_batch_rule=lambda p: p.copy())
+    views = fns.AnalyticFunction(2, "views", lambda p: p[:, 0], None, None,
+                                 grad_batch_rule=lambda p: p)
+    copies = fns.AnalyticFunction(2, "copies", lambda p: p[:, 0].copy(), None, None,
+                                  grad_batch_rule=lambda p: p.copy())
     got = baseline(views, theta, budget, RngStream(5), 500, 0.1)
     kept = got.copy()
     baseline(views, theta, budget, RngStream(6), 500, 0.1)
